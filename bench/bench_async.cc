@@ -6,13 +6,13 @@
 // (drip-feeds with sleeps); the other three are in-memory and always
 // ready. Two schedules are compared on identical workloads:
 //
-//   serial       — AdmissionLimits::interleave = false: strict
-//                  first-submission group order with blocking waits. The
-//                  stalled group gates everything behind it, so the ready
-//                  groups cannot finish before the slow writer does.
-//   interleaved  — the default ready-batch scheduler: the stalled batch is
-//                  parked on its ReadyFd and the ready groups run to
-//                  completion meanwhile.
+//   serial       — one Run() per group, in submission order, through the
+//                  same scheduler. The stalled group's Run() returns only
+//                  once the slow writer is done, so the ready groups cannot
+//                  finish before it.
+//   interleaved  — every group submitted up front and one Run(): the
+//                  stalled batch is parked on its ReadyFd and the ready
+//                  groups run to completion meanwhile.
 //
 // The headline figure is fast_done_seconds — the time at which the LAST
 // ready-group result was written — which the serial baseline cannot push
@@ -90,15 +90,14 @@ constexpr int kSlowStallMs = 25;
 
 /// Runs the 4-group workload under one schedule. `fast_docs` are in-memory;
 /// the slow doc drips through a pipe, kSlowChunks pieces with kSlowStallMs
-/// sleeps in between.
-ScheduleResult RunSchedule(bool interleave, const std::string& slow_doc,
+/// sleeps in between. The slow group is always submitted FIRST; `serial`
+/// runs each group on its own before the next is submitted.
+ScheduleResult RunSchedule(bool serial, const std::string& slow_doc,
                            const std::vector<std::string>& fast_docs,
                            const std::vector<std::string>& queries) {
   using namespace gcx;
   QueryCache cache;
-  AdmissionLimits limits;
-  limits.interleave = interleave;
-  AdmissionController controller(&cache, limits);
+  AdmissionController controller(&cache);
 
   int fds[2];
   if (::pipe(fds) != 0) std::abort();
@@ -109,30 +108,32 @@ ScheduleResult RunSchedule(bool interleave, const std::string& slow_doc,
         if (*source == nullptr) return IoError("slow doc: single batch only");
         return std::move(*source);
       });
+  std::vector<std::string> doc_ids{"slow"};
   for (size_t d = 0; d < fast_docs.size(); ++d) {
-    controller.RegisterDocument("fast" + std::to_string(d), fast_docs[d]);
+    doc_ids.push_back("fast" + std::to_string(d));
+    controller.RegisterDocument(doc_ids.back(), fast_docs[d]);
   }
 
   Clock::time_point origin = Clock::now();
   std::vector<std::unique_ptr<TimedStream>> streams;
-  // The slow group is submitted FIRST: strict order puts it in front.
-  for (const std::string& q : queries) {
-    streams.push_back(std::make_unique<TimedStream>(origin));
-    if (!controller.Submit(q, {}, "slow", streams.back().get()).ok()) {
-      std::abort();
-    }
-  }
-  for (size_t d = 0; d < fast_docs.size(); ++d) {
+  auto submit_group = [&](const std::string& doc_id) {
     for (const std::string& q : queries) {
       streams.push_back(std::make_unique<TimedStream>(origin));
-      if (!controller
-               .Submit(q, {}, "fast" + std::to_string(d),
-                       streams.back().get())
-               .ok()) {
+      if (!controller.Submit(q, {}, doc_id, streams.back().get()).ok()) {
         std::abort();
       }
     }
-  }
+  };
+  uint64_t stalls = 0;
+  auto run_pending = [&] {
+    auto run = controller.Run();
+    if (!run.ok()) {
+      std::fprintf(stderr, "run failed: %s\n",
+                   run.status().ToString().c_str());
+      std::abort();
+    }
+    stalls += run->stalls;
+  };
 
   std::thread writer([&] {
     size_t chunk = (slow_doc.size() + kSlowChunks - 1) / kSlowChunks;
@@ -146,16 +147,20 @@ ScheduleResult RunSchedule(bool interleave, const std::string& slow_doc,
     }
     ::close(fds[1]);
   });
-  auto run = controller.Run();
-  writer.join();
-  if (!run.ok()) {
-    std::fprintf(stderr, "run failed: %s\n", run.status().ToString().c_str());
-    std::abort();
+  if (serial) {
+    for (const std::string& doc_id : doc_ids) {
+      submit_group(doc_id);
+      run_pending();
+    }
+  } else {
+    for (const std::string& doc_id : doc_ids) submit_group(doc_id);
+    run_pending();
   }
+  writer.join();
 
   ScheduleResult result;
   result.total_seconds = Seconds(origin, Clock::now());
-  result.stalls = run->stalls;
+  result.stalls = stalls;
   size_t nq = queries.size();
   for (size_t i = 0; i < streams.size(); ++i) {
     double done = streams[i]->done_seconds();
@@ -192,8 +197,8 @@ int main() {
               HumanBytes(doc.size()).c_str(), queries.size(), kSlowChunks,
               kSlowStallMs);
 
-  ScheduleResult serial = RunSchedule(false, doc, fast_docs, queries);
-  ScheduleResult inter = RunSchedule(true, doc, fast_docs, queries);
+  ScheduleResult serial = RunSchedule(true, doc, fast_docs, queries);
+  ScheduleResult inter = RunSchedule(false, doc, fast_docs, queries);
 
   if (serial.outputs != inter.outputs) {
     std::fprintf(stderr, "OUTPUT MISMATCH between schedules\n");

@@ -74,7 +74,7 @@ AdmissionController::AdmissionController(QueryCache* cache,
   }
   adaptive_batch_cap_ = limits_.max_batch_queries;
   adaptive_shards_ = limits_.shards;
-  if (limits_.adaptive && limits_.interleave) {
+  if (limits_.adaptive) {
     stats_.adaptive_batch_cap = adaptive_batch_cap_;
     stats_.adaptive_shards = adaptive_shards_;
   }
@@ -214,12 +214,11 @@ Status AdmissionController::Submit(std::string_view query_text,
 }
 
 size_t AdmissionController::EffectiveShards() const {
-  return limits_.adaptive && limits_.interleave ? adaptive_shards_
-                                                : limits_.shards;
+  return limits_.adaptive ? adaptive_shards_ : limits_.shards;
 }
 
 void AdmissionController::AdaptAfterRun(const AdmissionRunStats& run) {
-  if (!limits_.adaptive || !limits_.interleave || run.batches == 0) return;
+  if (!limits_.adaptive || run.batches == 0) return;
   bool stall_pressure =
       static_cast<double>(run.stalls) >=
       limits_.adaptive_stall_threshold * static_cast<double>(run.batches);
@@ -274,9 +273,8 @@ void AdmissionController::AdaptAfterRun(const AdmissionRunStats& run) {
 
 size_t AdmissionController::BatchCap(bool* memory_bound) const {
   *memory_bound = false;
-  size_t cap = limits_.adaptive && limits_.interleave
-                   ? adaptive_batch_cap_
-                   : limits_.max_batch_queries;
+  size_t cap =
+      limits_.adaptive ? adaptive_batch_cap_ : limits_.max_batch_queries;
   if (limits_.max_replay_log_events > 0 &&
       stats_.events_per_query_estimate > 0) {
     uint64_t by_memory = std::max<uint64_t>(
@@ -309,7 +307,7 @@ Status AdmissionController::StartNextBatch(GroupWork* work,
   bool memory_bound = false;
   size_t cap = BatchCap(&memory_bound);
   // A pending split-retry shrinks this one batch; the cap recovers once a
-  // batch completes (FinishBatch) or the backoff bottoms out in a shed.
+  // batch completes (BookBatch) or the backoff bottoms out in a shed.
   if (work->retry_cap > 0) cap = std::min(cap, work->retry_cap);
   size_t n = std::min(cap, pending.size() - work->next);
   if (work->next + n < pending.size()) {
@@ -320,62 +318,49 @@ Status AdmissionController::StartNextBatch(GroupWork* work,
     }
   }
 
-  if (EffectiveShards() > 1) {
-    auto content = contents_.find(work->group.doc_id);
-    if (content != contents_.end()) {
-      // Stored document + sharding enabled: fan the scan out across the
-      // worker pool and fan back in (ExecuteSharded blocks until every
-      // shard finished — the bytes are in memory, so nothing can stall).
-      // Falls back to the single scan internally when the planner
-      // declines; either way the batch completes here.
-      std::vector<const CompiledQuery*> batch;
-      std::vector<std::ostream*> outs;
-      batch.reserve(n);
-      outs.reserve(n);
-      for (size_t j = work->next; j < work->next + n; ++j) {
-        batch.push_back(&pending[j].query);
-        outs.push_back(pending[j].out);
-      }
-      ShardOptions shard_options;
-      shard_options.shards = EffectiveShards();
-      shard_options.threads = limits_.shard_threads;
-      MultiQueryEngine engine;
-      std::unique_ptr<RunGovernor> attempt;
-      if (root != nullptr) {
-        attempt = std::make_unique<RunGovernor>(root);
-        engine.set_governor(attempt.get());
-      }
-      Result<MultiQueryStats> sharded =
-          engine.ExecuteSharded(batch, *content->second, outs, shard_options);
-      if (!sharded.ok()) {
-        // ExecuteSharded already degraded internally (resource trips during
-        // the parallel scan retried on the serial path); what surfaces here
-        // is final for this batch. A resource-tripping singleton is shed —
-        // a larger batch is NOT split: the internal serial attempt may have
-        // emitted output, and a re-run would duplicate it.
-        if (root != nullptr && n == 1 &&
-            AbsorbBudgetFailure(work, sharded.status(), n,
-                                /*evaluation_started=*/true, run)) {
-          return Status::Ok();
-        }
-        return sharded.status();
-      }
-      MultiQueryStats stats = std::move(sharded).value();
-      work->retry_cap = 0;
-      ObserveBatch(n, stats.shared.replay_log_peak);
-      ++stats_.batches_formed;
-      if (stats.shared.shards > 0) ++stats_.sharded_runs;
-      ++run->batches;
-      run->queries += n;
-      run->scan_passes += stats.shared.scan_passes;
-      run->bytes_scanned += stats.shared.bytes_scanned;
-      run->replay_log_peak =
-          std::max(run->replay_log_peak, stats.shared.replay_log_peak);
-      run->replay_arena_peak_bytes = std::max(
-          run->replay_arena_peak_bytes, stats.shared.replay_arena_peak_bytes);
-      work->next += n;
+  // Every path runs under a fresh child attempt of the run's root governor:
+  // a tripped attempt's cancel token must not poison the retry after it.
+  if (root != nullptr) work->governor = std::make_unique<RunGovernor>(root);
+  std::vector<const CompiledQuery*> batch;
+  std::vector<std::ostream*> outs;
+  for (size_t j = work->next; j < work->next + n; ++j) {
+    batch.push_back(&pending[j].query);
+    outs.push_back(pending[j].out);
+  }
+  // The blocking paths below complete the batch in this call, so whatever
+  // they report is final for it: a resource-tripping singleton is shed,
+  // and a larger batch is NOT split — the sharded executor's internal
+  // serial retry may have emitted output, and a re-run would duplicate it.
+  auto complete = [&](const Status& failure, const SharedScanStats& shared) {
+    if (failure.ok()) {
+      BookBatch(work, n, shared, run);
       return Status::Ok();
     }
+    if (root != nullptr && n == 1 &&
+        AbsorbBudgetFailure(work, failure, n, /*evaluation_started=*/true,
+                            run)) {
+      return Status::Ok();
+    }
+    return failure;
+  };
+
+  auto content = contents_.end();
+  if (EffectiveShards() > 1) content = contents_.find(work->group.doc_id);
+  if (content != contents_.end()) {
+    // Stored document + sharding enabled: fan the scan out across the
+    // worker pool and fan back in (ExecuteSharded blocks until every shard
+    // finished — the bytes are in memory, so nothing can stall). Falls back
+    // to the single scan internally when the planner declines, and retries
+    // resource trips of the parallel scan on the serial path.
+    ShardOptions shard_options;
+    shard_options.shards = EffectiveShards();
+    shard_options.threads = limits_.shard_threads;
+    MultiQueryEngine engine;
+    engine.set_governor(work->governor.get());
+    Result<MultiQueryStats> sharded =
+        engine.ExecuteSharded(batch, *content->second, outs, shard_options);
+    return complete(sharded.status(),
+                    sharded.ok() ? sharded->shared : SharedScanStats{});
   }
 
   GCX_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source, (*work->opener)());
@@ -384,45 +369,21 @@ Status AdmissionController::StartNextBatch(GroupWork* work,
   if (n == 1 && source->ReadyFd() < 0) {
     // Always-ready singleton: the solo engine skips the merged-DFA/replay
     // machinery entirely. (A pollable singleton goes through MultiQueryRun
-    // instead so the scheduler can park it.)
-    Request& request = pending[work->next];
+    // instead so the scheduler can park it.) It has no replay log: only
+    // its private pass is booked.
     Engine solo;
-    std::unique_ptr<RunGovernor> attempt;
-    if (root != nullptr) {
-      attempt = std::make_unique<RunGovernor>(root);
-      solo.set_governor(attempt.get());
+    solo.set_governor(work->governor.get());
+    Result<ExecStats> stats =
+        solo.Execute(*batch.front(), std::move(source), outs.front());
+    SharedScanStats shared;
+    if (stats.ok()) {
+      shared.scan_passes = stats->scan_passes;
+      shared.bytes_scanned = stats->input_bytes;
+      ++stats_.solo_runs;
     }
-    auto stats = solo.Execute(request.query, std::move(source), request.out);
-    if (!stats.ok()) {
-      if (root != nullptr &&
-          AbsorbBudgetFailure(work, stats.status(), /*batch_queries=*/1,
-                              /*evaluation_started=*/true, run)) {
-        return Status::Ok();
-      }
-      return stats.status();
-    }
-    work->retry_cap = 0;
-    ++stats_.batches_formed;
-    ++stats_.solo_runs;
-    ++run->batches;
-    ++run->queries;
-    run->scan_passes += stats->scan_passes;
-    run->bytes_scanned += stats->input_bytes;
-    work->next += 1;
-    return Status::Ok();
+    return complete(stats.status(), shared);
   }
 
-  std::vector<const CompiledQuery*> batch;
-  std::vector<std::ostream*> outs;
-  batch.reserve(n);
-  outs.reserve(n);
-  for (size_t j = work->next; j < work->next + n; ++j) {
-    batch.push_back(&pending[j].query);
-    outs.push_back(pending[j].out);
-  }
-  if (root != nullptr) {
-    work->governor = std::make_unique<RunGovernor>(root);
-  }
   work->current = std::make_unique<MultiQueryRun>(
       std::move(batch), std::move(source), std::move(outs),
       work->governor.get());
@@ -468,26 +429,25 @@ bool AdmissionController::AbsorbBudgetFailure(GroupWork* work,
   return false;
 }
 
-Status AdmissionController::FinishBatch(GroupWork* work,
-                                        AdmissionRunStats* run) {
-  GCX_ASSIGN_OR_RETURN(MultiQueryStats stats, work->current->TakeStats());
-  ObserveBatch(work->batch_size, stats.shared.replay_log_peak);
+void AdmissionController::BookBatch(GroupWork* work, size_t batch_queries,
+                                    const SharedScanStats& shared,
+                                    AdmissionRunStats* run) {
+  ObserveBatch(batch_queries, shared.replay_log_peak);
   ++stats_.batches_formed;
+  if (shared.shards > 0) ++stats_.sharded_runs;
   ++run->batches;
-  run->queries += work->batch_size;
-  run->scan_passes += stats.shared.scan_passes;
-  run->bytes_scanned += stats.shared.bytes_scanned;
-  run->replay_log_peak =
-      std::max(run->replay_log_peak, stats.shared.replay_log_peak);
-  run->replay_arena_peak_bytes = std::max(run->replay_arena_peak_bytes,
-                                          stats.shared.replay_arena_peak_bytes);
-  work->next += work->batch_size;
+  run->queries += batch_queries;
+  run->scan_passes += shared.scan_passes;
+  run->bytes_scanned += shared.bytes_scanned;
+  run->replay_log_peak = std::max(run->replay_log_peak, shared.replay_log_peak);
+  run->replay_arena_peak_bytes =
+      std::max(run->replay_arena_peak_bytes, shared.replay_arena_peak_bytes);
+  work->next += batch_queries;
   work->batch_size = 0;
   work->retry_cap = 0;
   work->current.reset();
   work->governor.reset();
   work->parked = false;
-  return Status::Ok();
 }
 
 Result<AdmissionRunStats> AdmissionController::Run() {
@@ -550,56 +510,6 @@ Result<AdmissionRunStats> AdmissionController::Run() {
     admission.Max("replay_arena_peak_bytes", run.replay_arena_peak_bytes);
   };
 
-  if (!limits_.interleave) {
-    // Legacy strict order: one batch at a time, blocking across stalls.
-    for (GroupWork& work : works) {
-      while (!work.finished()) {
-        if (work.current == nullptr) {
-          GCX_RETURN_IF_ERROR(StartNextBatch(&work, &run, root.get()));
-          if (work.current == nullptr) continue;  // solo fast path ran
-        }
-        MultiQueryRun::State state = work.current->Step();
-        switch (state) {
-          case MultiQueryRun::State::kStalled:
-            if (!work.parked) {
-              work.parked = true;
-              ++run.stalls;
-              ++stats_.batches_parked;
-            }
-            WaitReadable(work.current->ReadyFd(),
-                         root != nullptr ? root->BoundedWaitMs(-1) : -1);
-            if (root != nullptr) {
-              GCX_RETURN_IF_ERROR(root->Check(/*force_clock=*/true));
-            }
-            ++stats_.batch_resumes;
-            break;
-          case MultiQueryRun::State::kDone:
-            GCX_RETURN_IF_ERROR(FinishBatch(&work, &run));
-            break;
-          case MultiQueryRun::State::kFailed: {
-            // Split/shed degradation lives in the interleaved scheduler;
-            // the legacy strict-order path only absorbs singleton sheds so
-            // a budget-tripped query cannot wedge the whole queue.
-            Status failure = work.current->status();
-            size_t batch_queries = work.batch_size;
-            bool evaluation_started = work.current->evaluation_started();
-            if (root != nullptr &&
-                AbsorbBudgetFailure(&work, failure, batch_queries,
-                                    evaluation_started, &run)) {
-              break;
-            }
-            return failure;
-          }
-          case MultiQueryRun::State::kRunnable:
-            break;
-        }
-      }
-    }
-    release_drained();
-    publish_run();
-    return run;
-  }
-
   // Ready-batch scheduler: sweep the groups round-robin, pumping each
   // group's current batch while its source produces data and parking it on
   // would-block. When a whole sweep makes no progress, every remaining
@@ -647,13 +557,16 @@ Result<AdmissionRunStats> AdmissionController::Run() {
           }
           stalled_fds.push_back(work.current->ReadyFd());
           break;
-        case MultiQueryRun::State::kDone:
-          GCX_RETURN_IF_ERROR(FinishBatch(&work, &run));
+        case MultiQueryRun::State::kDone: {
+          GCX_ASSIGN_OR_RETURN(MultiQueryStats stats,
+                               work.current->TakeStats());
+          BookBatch(&work, work.batch_size, stats.shared, &run);
           progressed = true;
           break;
+        }
         case MultiQueryRun::State::kFailed: {
           // Graceful degradation: a scan-phase memory trip re-forms the
-          // batch at half size (same cursor — FinishBatch never ran, so
+          // batch at half size (same cursor — BookBatch never ran, so
           // work.next is unmoved); backoff bottoms out in a singleton
           // shed. Anything else fails the run. Capture batch facts before
           // AbsorbBudgetFailure resets work.current.

@@ -22,11 +22,9 @@
 // batch proceed. Parked batches resume when their source's ReadyFd()
 // signals readiness (poll). One stalled socket/FIFO therefore no longer
 // serializes the batches queued behind it — only its own group waits.
-// AdmissionLimits::interleave = false restores the legacy strict
-// first-submission order with blocking waits (the serial baseline the
-// bench_async harness compares against). Within a group, batches still
-// run sequentially: they re-scan the same document, and a group's
-// submission order is the order its results are written in.
+// Within a group, batches still run sequentially: they re-scan the same
+// document, and a group's submission order is the order its results are
+// written in.
 //
 // Admission limits bound what one batch may cost:
 //   * max_batch_queries — hard cap on queries per batch;
@@ -67,6 +65,8 @@
 
 namespace gcx {
 
+struct SharedScanStats;  // core/multi_engine.h
+
 /// Per-batch admission limits.
 struct AdmissionLimits {
   /// Hard cap on queries per batch. Must be >= 1.
@@ -74,11 +74,6 @@ struct AdmissionLimits {
   /// Replay-log budget in buffered events (0 = unlimited). Enforced through
   /// the adaptive per-query estimate described above.
   uint64_t max_replay_log_events = 0;
-  /// Run() scheduling: true (default) round-robins runnable batches and
-  /// parks the ones whose source would block; false executes groups in
-  /// strict first-submission order, blocking on every stall (legacy
-  /// behavior, and the serial baseline for benchmarking).
-  bool interleave = true;
   /// Parallel scan shards (core/shard.h) for batches whose document was
   /// registered as in-memory content (RegisterDocument(string)); <= 1
   /// disables. Opener/async documents always use the single scan — their
@@ -95,8 +90,7 @@ struct AdmissionLimits {
   bool release_documents_on_drain = false;
 
   // --- Self-tuning (closed feedback loop over the controller's own
-  // metrics). When `adaptive` is on (and interleave is — the serial
-  // baseline is never adapted), every completed Run() reviews what it
+  // metrics). When `adaptive` is on, every completed Run() reviews what it
   // observed and nudges the EFFECTIVE batch cap and shard count the next
   // run will use. Batch formation changes only; each query's output is
   // byte-identical regardless of how the stream was cut into batches.
@@ -135,7 +129,7 @@ struct AdmissionLimits {
   // ledger span the whole run, while each batch executes under a child
   // attempt with its own cancel token and arena/replay ledgers.
   //
-  // Degradation policy (interleaved scheduling): a batch whose *scan phase*
+  // Degradation policy: a batch whose *scan phase*
   // trips a memory budget (kResourceExhausted before any evaluator ran) is
   // re-formed at half size from the same cursor — bounded exponential
   // backoff down to singletons. A tripping singleton is SHED: its typed
@@ -254,10 +248,8 @@ class AdmissionController {
                 std::string_view doc_id, std::ostream* out);
 
   /// Executes every pending request. Results are written to the Submit-time
-  /// streams. With interleave (default) runnable batches are scheduled
-  /// round-robin across groups and stalled batches are parked until their
-  /// source is ready; with interleave = false, batches run strictly in
-  /// first-submission order of their groups, blocking on stalls. Within a
+  /// streams. Runnable batches are scheduled round-robin across groups and
+  /// stalled batches are parked until their source is ready. Within a
   /// group, batches always run (and write) in submission order.
   Result<AdmissionRunStats> Run();
 
@@ -294,14 +286,18 @@ class AdmissionController {
   bool AbsorbBudgetFailure(GroupWork* work, const Status& failure,
                            size_t batch_queries, bool evaluation_started,
                            AdmissionRunStats* run);
-  /// Books a finished MultiQueryRun batch into the stats. Caller holds mu_.
-  Status FinishBatch(GroupWork* work, AdmissionRunStats* run);
+  /// Books `batch_queries` executed queries of `work` with their shared-scan
+  /// counters into the stats and model, advances the cursor and clears the
+  /// batch state — the one bookkeeping step of every execution path.
+  /// Caller holds mu_.
+  void BookBatch(GroupWork* work, size_t batch_queries,
+                 const SharedScanStats& shared, AdmissionRunStats* run);
   /// Drops one document's opener + content, maintaining the release stats.
   /// Caller holds mu_.
   bool ReleaseDocumentLocked(const std::string& doc_id);
   /// Effective shard count for the next batch (adaptive may have shrunk it).
   size_t EffectiveShards() const;
-  /// Reviews a completed interleaved Run and adjusts the effective batch
+  /// Reviews a completed Run and adjusts the effective batch
   /// cap / shard count (see AdmissionLimits). Caller holds mu_.
   void AdaptAfterRun(const AdmissionRunStats& run);
 

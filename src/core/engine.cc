@@ -92,10 +92,7 @@ Result<ExecStats> Engine::ExecuteStreaming(const CompiledQuery& query,
   StreamExecContext ctx(&query.analyzed().projection, &query.analyzed().roles,
                         std::move(input), options.scanner);
   ctx.set_governor(governor_);
-  if (!options.enable_gc ||
-      options.mode == EngineMode::kMaterializedProjection) {
-    ctx.buffer().set_gc_enabled(false);
-  }
+  ctx.buffer().set_gc_enabled(options.active_gc());
   if (trace_) {
     ctx.projector().set_trace([this, &ctx](const XmlEvent& event) {
       trace_(event, ctx.buffer(), ctx.tags());
@@ -114,8 +111,7 @@ Result<ExecStats> Engine::ExecuteStreaming(const CompiledQuery& query,
   XmlWriter writer(out);
   writer.set_governor(governor_);
   EvalOptions eval_options;
-  eval_options.execute_signoffs =
-      options.enable_gc && options.mode == EngineMode::kStreaming;
+  eval_options.execute_signoffs = options.active_gc();
   Evaluator evaluator(&query.analyzed(), &ctx, &writer, eval_options);
   GCX_RETURN_IF_ERROR(evaluator.Run());
   if (governor_ != nullptr) {
@@ -125,21 +121,8 @@ Result<ExecStats> Engine::ExecuteStreaming(const CompiledQuery& query,
     GCX_RETURN_IF_ERROR(governor_->CheckAll(/*force_clock=*/true));
   }
 
-  ExecStats stats;
-  stats.buffer = ctx.buffer().stats();
-  stats.projector = ctx.projector().stats();
-  stats.peak_bytes = stats.buffer.bytes_peak;
-  stats.input_bytes = ctx.scanner().bytes_consumed();
-  stats.output_bytes = writer.bytes_written();
-  stats.dfa_states = ctx.projector().dfa().num_states();
-  stats.scan_passes = 1;
-  stats.events_delivered = stats.projector.events_read;
-  stats.live_roles_final = ctx.buffer().live_role_instances();
-  stats.buffer_nodes_final = stats.buffer.nodes_current;
-  stats.stalls = ctx.scanner().stalls();
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  ExecStats stats = MakeExecStats(start, writer.bytes_written(), &ctx.buffer(),
+                                  &ctx.projector(), &ctx.scanner());
   PublishExecStats(stats, GlobalMetrics(), query.canonical_text());
 
   if (eval_options.execute_signoffs) {
@@ -181,21 +164,8 @@ Result<ExecStats> Engine::Project(const CompiledQuery& query,
   XmlWriter writer(out);
   SerializeBufferNode(ctx.buffer().root(), ctx.tags(), &writer);
 
-  ExecStats stats;
-  stats.buffer = ctx.buffer().stats();
-  stats.projector = ctx.projector().stats();
-  stats.peak_bytes = stats.buffer.bytes_peak;
-  stats.input_bytes = ctx.scanner().bytes_consumed();
-  stats.output_bytes = writer.bytes_written();
-  stats.dfa_states = ctx.projector().dfa().num_states();
-  stats.scan_passes = 1;
-  stats.events_delivered = stats.projector.events_read;
-  stats.live_roles_final = ctx.buffer().live_role_instances();
-  stats.buffer_nodes_final = stats.buffer.nodes_current;
-  stats.stalls = ctx.scanner().stalls();
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  ExecStats stats = MakeExecStats(start, writer.bytes_written(), &ctx.buffer(),
+                                  &ctx.projector(), &ctx.scanner());
   PublishExecStats(stats, GlobalMetrics(), query.canonical_text());
   return stats;
 }
@@ -209,7 +179,6 @@ Result<ExecStats> Engine::ExecuteNaiveDom(const CompiledQuery& query,
   // arena budget when one is installed.
   std::string document;
   GCX_RETURN_IF_ERROR(ReadAll(input.get(), &document, governor_));
-  uint64_t input_bytes = document.size();
   GCX_ASSIGN_OR_RETURN(std::unique_ptr<DomDocument> doc,
                        ParseDom(document, query.options().scanner));
   XmlWriter writer(out);
@@ -219,14 +188,10 @@ Result<ExecStats> Engine::ExecuteNaiveDom(const CompiledQuery& query,
     GCX_RETURN_IF_ERROR(governor_->CheckAll(/*force_clock=*/true));
   }
 
-  ExecStats stats;
+  ExecStats stats = MakeExecStats(start, writer.bytes_written());
   stats.scan_passes = 1;
   stats.peak_bytes = DomSubtreeBytes(doc->root());
-  stats.input_bytes = input_bytes;
-  stats.output_bytes = writer.bytes_written();
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  stats.input_bytes = document.size();
   PublishExecStats(stats, GlobalMetrics(), query.canonical_text());
   return stats;
 }

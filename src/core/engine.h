@@ -56,6 +56,10 @@ struct EngineOptions {
   bool eliminate_redundant_roles = true;
   bool early_updates = true;
   ScannerOptions scanner;
+
+  /// True when runs execute signOff-statements and purge the buffer: GC is
+  /// on and evaluation streams (static projection buffers everything).
+  bool active_gc() const { return enable_gc && mode == EngineMode::kStreaming; }
 };
 
 /// Execution statistics (one Execute call).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <future>
 #include <limits>
@@ -101,14 +100,6 @@ class SharedScanDemux {
   void set_governor(RunGovernor* governor) { governor_ = governor; }
   RunGovernor* governor() const { return governor_; }
 
-  /// Solo-batch mode: deliver every appended event to `ctx` immediately
-  /// during the pump instead of retaining it for later replay. With one
-  /// subscriber there is no second consumer the log could serve, so eager
-  /// delivery keeps the replay log/arena at O(1) instead of O(document)
-  /// while the pump-then-evaluate control flow of MultiQueryRun buffers
-  /// the whole stream.
-  void set_solo_drain(BatchQueryContext* ctx) { solo_drain_ = ctx; }
-
   /// Marks `ctx` finished; its log position stops pinning the tail.
   void Detach(BatchQueryContext* ctx) {
     ctx->detached = true;
@@ -129,7 +120,16 @@ class SharedScanDemux {
       if (pumped == PumpState::kStalled) return WouldBlockStatus();
     }
     bool at_front = ctx->position == log_base_;
-    Result<bool> more = DeliverNext(ctx);
+    const LogEvent& entry =
+        log_[static_cast<size_t>(ctx->position - log_base_)];
+    XmlEvent event;
+    event.kind = entry.kind;
+    event.tag = entry.tag;
+    event.text = entry.text;
+    // event.tags stays null: demuxed consumers work on the TagId.
+    ++ctx->position;
+    ++stats_.events_demuxed;
+    Result<bool> more = projector.ProcessEvent(event);
     // Only the consumer of the front entry can advance the trim point;
     // checking every subscriber on every delivery would be O(N²) per scan.
     if (at_front) Trim();
@@ -144,19 +144,14 @@ class SharedScanDemux {
     stats.shared_subtrees_skipped = filter_.subtrees_skipped();
     return stats;
   }
-  bool scan_done() const { return scan_done_; }
 
   /// Pump-while-ready driver: advances the scan until the source stalls or
-  /// the end-of-document event enters the log. Never blocks. In solo-drain
-  /// mode every surviving event is handed to the single subscriber as soon
-  /// as it is appended, so the log is trimmed continuously instead of
-  /// retaining the whole union-projected stream.
+  /// the end-of-document event enters the log. Never blocks. Nothing is
+  /// delivered: the log retains the union-projected stream (charged to the
+  /// replay ledgers) until the evaluators replay it.
   Result<PumpState> PumpUntilStalledOrDone() {
     while (true) {
       GCX_ASSIGN_OR_RETURN(PumpState state, PumpOne());
-      if (solo_drain_ != nullptr && state != PumpState::kStalled) {
-        GCX_RETURN_IF_ERROR(DrainSolo());
-      }
       if (state != PumpState::kEvent) return state;
     }
   }
@@ -200,39 +195,6 @@ class SharedScanDemux {
       GCX_RETURN_IF_ERROR(Append(event));
       return PumpState::kEvent;
     }
-  }
-
-  /// Delivers the log entry at `ctx`'s position to its projector and
-  /// advances the position. The caller is responsible for trimming.
-  Result<bool> DeliverNext(BatchQueryContext* ctx) {
-    const LogEvent& entry =
-        log_[static_cast<size_t>(ctx->position - log_base_)];
-    XmlEvent event;
-    event.kind = entry.kind;
-    event.tag = entry.tag;
-    event.text = entry.text;
-    // event.tags stays null: demuxed consumers work on the TagId.
-    ++ctx->position;
-    ++stats_.events_demuxed;
-    return ctx->projector().ProcessEvent(event);
-  }
-
-  /// Feeds the solo subscriber everything the log holds beyond its
-  /// position, then trims — with one consumer the log never needs to
-  /// retain a replayed entry. A projector that finished early (its
-  /// projection was exhausted) just skips past the remainder so the tail
-  /// still gets released.
-  Status DrainSolo() {
-    BatchQueryContext* ctx = solo_drain_;
-    while (ctx->position < log_base_ + log_.size()) {
-      if (ctx->detached || ctx->projector().done()) {
-        ++ctx->position;
-        continue;
-      }
-      GCX_RETURN_IF_ERROR(DeliverNext(ctx).status());
-    }
-    Trim();
-    return Status::Ok();
   }
 
   Status Append(const XmlEvent& event) {
@@ -297,7 +259,6 @@ class SharedScanDemux {
   uint64_t log_base_ = 0;  ///< global index of log_.front()
   bool scan_done_ = false;
   std::vector<BatchQueryContext*> subscribers_;
-  BatchQueryContext* solo_drain_ = nullptr;
   SharedScanStats stats_;
   RunGovernor* governor_ = nullptr;
   uint64_t arena_lease_ = 0;    ///< ledger cursor: live replay-arena bytes
@@ -386,7 +347,7 @@ class ShardReplayContext final : public ExecContext {
 
 /// Evaluates one analyzed query to completion (materialized-projection
 /// pre-pull, evaluator run, detach, per-query stats). Shared between the
-/// synchronous Execute path, the resumable MultiQueryRun and the sharded
+/// unsharded batch pipeline (MultiQueryRun::Impl) and the sharded
 /// executor: `ctx` is a BatchQueryContext or a ShardReplayContext (same
 /// buffer()/projector()/Pull() surface) and `detach` tells the event source
 /// this query stopped consuming (demux trim; no-op for the merged shard
@@ -398,13 +359,15 @@ template <typename Context, typename DetachFn>
 Result<ExecStats> EvaluateOne(const AnalyzedQuery& analyzed,
                               const EngineOptions& options, Context& ctx,
                               DetachFn&& detach, std::ostream* out,
-                              EngineMode mode,
                               AggregateParts* capture = nullptr,
                               RunGovernor* governor = nullptr,
                               bool charge_output = true) {
   auto start = std::chrono::steady_clock::now();
+  // Nothing reaches a context's buffer before its own evaluator pulls, so
+  // the GC rule is applied here for every path.
+  ctx.buffer().set_gc_enabled(options.active_gc());
 
-  if (mode == EngineMode::kMaterializedProjection) {
+  if (options.mode == EngineMode::kMaterializedProjection) {
     // Static projection: materialize this query's projected document
     // completely (replaying the shared log), then evaluate on it.
     while (true) {
@@ -419,8 +382,7 @@ Result<ExecStats> EvaluateOne(const AnalyzedQuery& analyzed,
   // them — charging both would double-count the output ledger.
   if (charge_output && governor != nullptr) writer.set_governor(governor);
   EvalOptions eval_options;
-  eval_options.execute_signoffs =
-      options.enable_gc && mode == EngineMode::kStreaming;
+  eval_options.execute_signoffs = options.active_gc();
   eval_options.aggregate_capture = capture;
   Evaluator evaluator(&analyzed, &ctx, &writer, eval_options);
   GCX_RETURN_IF_ERROR(evaluator.Run());
@@ -434,19 +396,9 @@ Result<ExecStats> EvaluateOne(const AnalyzedQuery& analyzed,
   // stopped pulling; later queries continue the shared scan without it.
   detach();
 
-  ExecStats stats;
-  stats.buffer = ctx.buffer().stats();
-  stats.projector = ctx.projector().stats();
-  stats.peak_bytes = stats.buffer.bytes_peak;
-  stats.output_bytes = writer.bytes_written();
-  stats.dfa_states = ctx.projector().dfa().num_states();
-  stats.scan_passes = 0;  // the batch's one pass is in result.shared
-  stats.events_delivered = stats.projector.events_read;
-  stats.live_roles_final = ctx.buffer().live_role_instances();
-  stats.buffer_nodes_final = stats.buffer.nodes_current;
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  // No scanner: the batch's one pass is accounted in MultiQueryStats::shared.
+  ExecStats stats = MakeExecStats(start, writer.bytes_written(), &ctx.buffer(),
+                                  &ctx.projector());
   if (eval_options.execute_signoffs) {
     // Paper requirement (2), per batched query: every assigned role was
     // removed again.
@@ -503,73 +455,6 @@ Result<MultiQueryStats> MultiQueryEngine::Execute(
   return Execute(queries, std::make_unique<StringSource>(input), outs);
 }
 
-Result<MultiQueryStats> MultiQueryEngine::Execute(
-    const std::vector<const CompiledQuery*>& queries,
-    std::unique_ptr<ByteSource> input,
-    const std::vector<std::ostream*>& outs) const {
-  GCX_RETURN_IF_ERROR(ValidateBatch(queries, outs));
-  Result<MultiQueryStats> result =
-      queries.front()->options().mode == EngineMode::kNaiveDom
-          ? ExecuteDomBatch(queries, std::move(input), outs)
-          : ExecuteStreamingBatch(queries, std::move(input), outs);
-  if (result.ok()) {
-    PublishMultiQueryStats(result.value(), GlobalMetrics(), &queries);
-  }
-  return result;
-}
-
-Result<MultiQueryStats> MultiQueryEngine::ExecuteStreamingBatch(
-    const std::vector<const CompiledQuery*>& queries,
-    std::unique_ptr<ByteSource> input,
-    const std::vector<std::ostream*>& outs) const {
-  const EngineMode mode = queries.front()->options().mode;
-
-  std::vector<MergedDfaInput> dfa_inputs;
-  std::vector<const ProjectionTree*> trees;
-  for (const CompiledQuery* query : queries) {
-    dfa_inputs.push_back(
-        {&query->analyzed().projection, &query->analyzed().roles});
-    trees.push_back(&query->analyzed().projection);
-  }
-  // One tag table for the whole batch: the scanner interns each element
-  // name once, and every per-query DFA/buffer consumes the shared ids.
-  SymbolTable tags;
-  SharedScanDemux demux(std::move(input), queries.front()->options().scanner,
-                        &tags, dfa_inputs);
-  demux.set_governor(governor_);
-
-  std::vector<std::unique_ptr<BatchQueryContext>> contexts;
-  contexts.reserve(queries.size());
-  for (const CompiledQuery* query : queries) {
-    auto ctx =
-        std::make_unique<BatchQueryContext>(&query->analyzed(), &tags, &demux);
-    if (!query->options().enable_gc ||
-        mode == EngineMode::kMaterializedProjection) {
-      ctx->buffer().set_gc_enabled(false);
-    }
-    demux.Register(ctx.get());
-    contexts.push_back(std::move(ctx));
-  }
-
-  MultiQueryStats result;
-  result.projection = SummarizeMergedProjection(trees);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    BatchQueryContext* ctx = contexts[i].get();
-    GCX_ASSIGN_OR_RETURN(
-        ExecStats stats,
-        EvaluateOne(queries[i]->analyzed(), queries[i]->options(), *ctx,
-                    [&demux, ctx] { demux.Detach(ctx); }, outs[i], mode,
-                    /*capture=*/nullptr, governor_));
-    result.per_query.push_back(stats);
-  }
-
-  result.shared = demux.stats();
-  result.shared.scan_passes = 1;
-  result.shared.bytes_scanned = demux.scanner().bytes_consumed();
-  result.shared.merged_dfa_states = demux.merged().num_states();
-  return result;
-}
-
 namespace {
 
 /// One dynamic segment of a shard-local query, analyzed and ready to run
@@ -611,8 +496,6 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
   if (queries.front()->options().mode == EngineMode::kNaiveDom) {
     return Execute(queries, input, outs);  // one DOM parse; nothing to shard
   }
-  const EngineMode mode = queries.front()->options().mode;
-
   // Classify each query for shard-local evaluation; eligible queries donate
   // their scatter paths as planner avoid-hints so boundaries land between
   // their matches (a boundary inside a match subtree would demote them).
@@ -781,10 +664,6 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
             LocalSegmentResult& slot = local_results[i][q][d];
             ShardReplayContext ctx(&dynamic.analyzed, &tags, &events,
                                    governor_);
-            if (!owner.options().enable_gc ||
-                mode == EngineMode::kMaterializedProjection) {
-              ctx.buffer().set_gc_enabled(false);
-            }
             AggregateParts* capture =
                 segment.kind == ShardQuerySegment::Kind::kAggregate
                     ? &slot.agg
@@ -792,7 +671,7 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
             std::ostringstream out;
             Result<ExecStats> stats =
                 EvaluateOne(dynamic.analyzed, owner.options(), ctx, [] {},
-                            &out, mode, capture, governor_,
+                            &out, capture, governor_,
                             /*charge_output=*/false);
             if (!stats.ok()) {
               local_status[i] = stats.status();
@@ -890,14 +769,10 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
       if (is_local[i]) continue;
       ShardReplayContext ctx(&queries[i]->analyzed(), &tags, &merged,
                              governor_);
-      if (!queries[i]->options().enable_gc ||
-          mode == EngineMode::kMaterializedProjection) {
-        ctx.buffer().set_gc_enabled(false);
-      }
       GCX_ASSIGN_OR_RETURN(
           ExecStats stats,
           EvaluateOne(queries[i]->analyzed(), queries[i]->options(), ctx,
-                      [] {}, outs[i], mode, /*capture=*/nullptr, governor_));
+                      [] {}, outs[i], /*capture=*/nullptr, governor_));
       result.per_query[i] = stats;
     }
   }
@@ -913,7 +788,6 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
     auto start = std::chrono::steady_clock::now();
     XmlWriter writer(outs[qi]);
     if (governor_ != nullptr) writer.set_governor(governor_);
-    ExecStats stats;
     size_t dyn = 0;
     for (const ShardQuerySegment& segment : local.plan.segments) {
       switch (segment.kind) {
@@ -955,6 +829,11 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
         }
       }
     }
+    writer.Flush();
+    if (governor_ != nullptr) {
+      GCX_RETURN_IF_ERROR(governor_->CheckAll(/*force_clock=*/true));
+    }
+    ExecStats stats = MakeExecStats(start, writer.bytes_written());
     for (size_t s = 0; s < n; ++s) {
       for (const LocalSegmentResult& slot : local_results[s][q]) {
         stats.events_delivered += slot.stats.events_delivered;
@@ -968,15 +847,6 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
         stats.projector.events_read += slot.stats.projector.events_read;
       }
     }
-    writer.Flush();
-    if (governor_ != nullptr) {
-      GCX_RETURN_IF_ERROR(governor_->CheckAll(/*force_clock=*/true));
-    }
-    stats.output_bytes = writer.bytes_written();
-    stats.scan_passes = 0;
-    stats.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
     result.per_query[qi] = std::move(stats);
   }
 
@@ -1013,136 +883,177 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
   return result;
 }
 
-Result<MultiQueryStats> MultiQueryEngine::ExecuteDomBatch(
-    const std::vector<const CompiledQuery*>& queries,
-    std::unique_ptr<ByteSource> input,
-    const std::vector<std::ostream*>& outs) const {
-  // Read the input and build the DOM once; every query shares it.
-  std::string document;
-  GCX_RETURN_IF_ERROR(ReadAll(input.get(), &document, governor_));
-  uint64_t input_bytes = document.size();
-  GCX_ASSIGN_OR_RETURN(
-      std::unique_ptr<DomDocument> doc,
-      ParseDom(document, queries.front()->options().scanner));
-  uint64_t dom_bytes = DomSubtreeBytes(doc->root());
+// --- MultiQueryRun: the one unsharded batch pipeline -------------------------
 
-  MultiQueryStats result;
-  std::vector<const ProjectionTree*> trees;
-  for (const CompiledQuery* query : queries) {
-    trees.push_back(&query->analyzed().projection);
-  }
-  result.projection = SummarizeMergedProjection(trees);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto start = std::chrono::steady_clock::now();
-    XmlWriter writer(outs[i]);
-    if (governor_ != nullptr) writer.set_governor(governor_);
-    GCX_RETURN_IF_ERROR(
-        EvalQueryOnDom(queries[i]->parsed(), doc.get(), &writer));
-    if (governor_ != nullptr) {
-      GCX_RETURN_IF_ERROR(governor_->CheckAll(/*force_clock=*/true));
-    }
-    ExecStats stats;
-    stats.peak_bytes = dom_bytes;
-    stats.output_bytes = writer.bytes_written();
-    // As in the streaming batch, input accounting lives in result.shared
-    // (scan_passes/input_bytes stay 0 per query: there was no private
-    // read); projector/DFA counters are 0 just like solo ExecuteNaiveDom.
-    stats.scan_passes = 0;
-    stats.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    result.per_query.push_back(stats);
-  }
-  result.shared.scan_passes = 1;
-  result.shared.bytes_scanned = input_bytes;
-  return result;
-}
-
-// --- MultiQueryRun: resumable pump-while-ready execution ---------------------
-
+/// Builds, evaluates and finishes every unsharded batch. Step() pumps the
+/// input while the source is ready and evaluates once it is complete;
+/// MultiQueryEngine::Execute evaluates straight away instead, its pulls
+/// advancing the shared scan and waiting out stalls.
 struct MultiQueryRun::Impl {
   std::vector<const CompiledQuery*> queries;
   std::vector<std::ostream*> outs;
+  RunGovernor* governor = nullptr;
   EngineMode mode = EngineMode::kStreaming;
   State state = State::kRunnable;
   Status error;
+  bool evaluation_started = false;
 
   // Streaming / materialized-projection machinery (null in kNaiveDom).
   SymbolTable tags;
   std::unique_ptr<SharedScanDemux> demux;
   std::vector<std::unique_ptr<BatchQueryContext>> contexts;
-  std::vector<const ProjectionTree*> trees;
 
-  // kNaiveDom: the document accumulates here until EOF, then one
-  // MultiQueryEngine::Execute over the buffered string does the rest.
+  // kNaiveDom: the document accumulates here until EOF, is parsed once, and
+  // every query evaluates against the shared DOM.
   std::unique_ptr<ByteSource> dom_source;
   std::string dom_buffer;
+  uint64_t dom_lease = 0;  ///< arena-ledger cursor for dom_buffer bytes
 
   MultiQueryStats stats;
   bool stats_taken = false;
 
-  RunGovernor* governor = nullptr;
-  uint64_t dom_lease = 0;  ///< arena-ledger cursor for dom_buffer bytes
-  bool evaluation_started = false;
+  Impl(std::vector<const CompiledQuery*> batch,
+       std::unique_ptr<ByteSource> input, std::vector<std::ostream*> streams,
+       RunGovernor* run_governor);
+
+  ~Impl() {
+    if (governor != nullptr) governor->ReleaseArenaBytes(&dom_lease);
+  }
 
   void Fail(Status status) {
     error = std::move(status);
     state = State::kFailed;
   }
 
-  ~Impl() {
-    if (governor != nullptr) governor->ReleaseArenaBytes(&dom_lease);
+  /// Advances the input while the source is ready, never blocking: true
+  /// once the document is complete (the end-of-document event is in the
+  /// replay log, or the DOM source reached EOF).
+  Result<bool> Pump() {
+    if (mode == EngineMode::kNaiveDom) {
+      return ReadAvailable(dom_source.get(), &dom_buffer, governor,
+                           &dom_lease);
+    }
+    GCX_ASSIGN_OR_RETURN(PumpState pumped, demux->PumpUntilStalledOrDone());
+    return pumped == PumpState::kDone;
   }
+
+  /// Evaluator-driven run to completion (MultiQueryEngine::Execute).
+  Result<MultiQueryStats> Execute() {
+    if (state == State::kFailed) return error;
+    if (mode == EngineMode::kNaiveDom) {
+      GCX_RETURN_IF_ERROR(
+          ReadAll(dom_source.get(), &dom_buffer, governor, &dom_lease));
+    }
+    GCX_RETURN_IF_ERROR(Evaluate());
+    return std::move(stats);
+  }
+
+  /// Runs every query, in submission order, then finishes and publishes
+  /// the batch's stats.
+  Status Evaluate();
 };
+
+MultiQueryRun::Impl::Impl(std::vector<const CompiledQuery*> batch,
+                          std::unique_ptr<ByteSource> input,
+                          std::vector<std::ostream*> streams,
+                          RunGovernor* run_governor)
+    : queries(std::move(batch)),
+      outs(std::move(streams)),
+      governor(run_governor) {
+  Status valid = ValidateBatch(queries, outs);
+  if (!valid.ok()) {
+    Fail(std::move(valid));
+    return;
+  }
+  mode = queries.front()->options().mode;
+  if (mode == EngineMode::kNaiveDom) {
+    dom_source = std::move(input);
+    return;
+  }
+
+  std::vector<MergedDfaInput> dfa_inputs;
+  for (const CompiledQuery* query : queries) {
+    dfa_inputs.push_back(
+        {&query->analyzed().projection, &query->analyzed().roles});
+  }
+  // One tag table for the whole batch: the scanner interns each element
+  // name once, and every per-query DFA/buffer consumes the shared ids.
+  demux = std::make_unique<SharedScanDemux>(
+      std::move(input), queries.front()->options().scanner, &tags, dfa_inputs);
+  demux->set_governor(governor);
+  for (const CompiledQuery* query : queries) {
+    auto ctx = std::make_unique<BatchQueryContext>(&query->analyzed(), &tags,
+                                                   demux.get());
+    demux->Register(ctx.get());
+    contexts.push_back(std::move(ctx));
+  }
+}
+
+Status MultiQueryRun::Impl::Evaluate() {
+  evaluation_started = true;
+  std::vector<const ProjectionTree*> trees;
+  for (const CompiledQuery* query : queries) {
+    trees.push_back(&query->analyzed().projection);
+  }
+  stats.projection = SummarizeMergedProjection(trees);
+
+  if (mode == EngineMode::kNaiveDom) {
+    GCX_ASSIGN_OR_RETURN(
+        std::unique_ptr<DomDocument> doc,
+        ParseDom(dom_buffer, queries.front()->options().scanner));
+    uint64_t dom_bytes = DomSubtreeBytes(doc->root());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto start = std::chrono::steady_clock::now();
+      XmlWriter writer(outs[i]);
+      writer.set_governor(governor);
+      GCX_RETURN_IF_ERROR(
+          EvalQueryOnDom(queries[i]->parsed(), doc.get(), &writer));
+      if (governor != nullptr) {
+        GCX_RETURN_IF_ERROR(governor->CheckAll(/*force_clock=*/true));
+      }
+      // As in the streaming batch, input accounting lives in stats.shared.
+      ExecStats one = MakeExecStats(start, writer.bytes_written());
+      one.peak_bytes = dom_bytes;
+      stats.per_query.push_back(one);
+    }
+    stats.shared.bytes_scanned = dom_buffer.size();
+  } else {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      BatchQueryContext* ctx = contexts[i].get();
+      GCX_ASSIGN_OR_RETURN(
+          ExecStats one,
+          EvaluateOne(queries[i]->analyzed(), queries[i]->options(), *ctx,
+                      [this, ctx] { demux->Detach(ctx); }, outs[i],
+                      /*capture=*/nullptr, governor));
+      stats.per_query.push_back(one);
+    }
+    stats.shared = demux->stats();
+    stats.shared.bytes_scanned = demux->scanner().bytes_consumed();
+    stats.shared.merged_dfa_states = demux->merged().num_states();
+  }
+  stats.shared.scan_passes = 1;
+  PublishMultiQueryStats(stats, GlobalMetrics(), &queries);
+  return Status::Ok();
+}
+
+Result<MultiQueryStats> MultiQueryEngine::Execute(
+    const std::vector<const CompiledQuery*>& queries,
+    std::unique_ptr<ByteSource> input,
+    const std::vector<std::ostream*>& outs) const {
+  // The pipeline a resumable run steps through, driven by the evaluators
+  // instead of the pump: a pull at the head of the replay log advances the
+  // scan (waiting out stalls), so a one-query batch trims each event as
+  // soon as it is replayed.
+  MultiQueryRun run(queries, std::move(input), outs, governor_);
+  return run.impl_->Execute();
+}
 
 MultiQueryRun::MultiQueryRun(std::vector<const CompiledQuery*> queries,
                              std::unique_ptr<ByteSource> input,
                              std::vector<std::ostream*> outs,
                              RunGovernor* governor)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->queries = std::move(queries);
-  impl_->outs = std::move(outs);
-  impl_->governor = governor;
-  Status valid = ValidateBatch(impl_->queries, impl_->outs);
-  if (!valid.ok()) {
-    impl_->Fail(std::move(valid));
-    return;
-  }
-  impl_->mode = impl_->queries.front()->options().mode;
-  if (impl_->mode == EngineMode::kNaiveDom) {
-    impl_->dom_source = std::move(input);
-    return;
-  }
-
-  std::vector<MergedDfaInput> dfa_inputs;
-  for (const CompiledQuery* query : impl_->queries) {
-    dfa_inputs.push_back(
-        {&query->analyzed().projection, &query->analyzed().roles});
-    impl_->trees.push_back(&query->analyzed().projection);
-  }
-  impl_->demux = std::make_unique<SharedScanDemux>(
-      std::move(input), impl_->queries.front()->options().scanner,
-      &impl_->tags, dfa_inputs);
-  impl_->demux->set_governor(governor);
-  for (const CompiledQuery* query : impl_->queries) {
-    auto ctx = std::make_unique<BatchQueryContext>(&query->analyzed(),
-                                                   &impl_->tags,
-                                                   impl_->demux.get());
-    if (!query->options().enable_gc ||
-        impl_->mode == EngineMode::kMaterializedProjection) {
-      ctx->buffer().set_gc_enabled(false);
-    }
-    impl_->demux->Register(ctx.get());
-    impl_->contexts.push_back(std::move(ctx));
-  }
-  if (impl_->contexts.size() == 1) {
-    // A parked/slow singleton would otherwise pin the replay log's tail
-    // for the whole scan (nothing trims until the lone query evaluates,
-    // which only happens after the pump completes). Eager delivery keeps
-    // the retained log O(1).
-    impl_->demux->set_solo_drain(impl_->contexts.front().get());
-  }
-}
+    : impl_(std::make_unique<Impl>(std::move(queries), std::move(input),
+                                   std::move(outs), governor)) {}
 
 MultiQueryRun::~MultiQueryRun() = default;
 
@@ -1150,85 +1061,19 @@ MultiQueryRun::State MultiQueryRun::Step() {
   Impl& im = *impl_;
   if (im.state == State::kDone || im.state == State::kFailed) return im.state;
 
-  if (im.mode == EngineMode::kNaiveDom) {
-    char chunk[1 << 16];
-    while (true) {
-      if (im.governor != nullptr) {
-        Status check = im.governor->Check();
-        if (check.ok()) {
-          check = im.governor->UpdateArenaBytes(&im.dom_lease,
-                                                im.dom_buffer.size());
-        }
-        if (!check.ok()) {
-          im.Fail(std::move(check));
-          return im.state;
-        }
-      }
-      ByteSource::ReadResult r = im.dom_source->Read(chunk, sizeof(chunk));
-      if (r.state == ByteSource::ReadState::kWouldBlock) {
-        im.state = State::kStalled;
-        return im.state;
-      }
-      if (r.state == ByteSource::ReadState::kOk) {
-        im.dom_buffer.append(chunk, r.bytes);
-        continue;
-      }
-      if (r.state == ByteSource::ReadState::kError) {
-        im.Fail(IoError(std::string("source read error: ") +
-                        std::strerror(r.error)));
-        return im.state;
-      }
-      break;  // EOF: the document is complete
-    }
-    im.evaluation_started = true;
-    MultiQueryEngine engine;
-    engine.set_governor(im.governor);
-    Result<MultiQueryStats> stats =
-        engine.Execute(im.queries, std::string_view(im.dom_buffer), im.outs);
-    if (!stats.ok()) {
-      im.Fail(stats.status());
-      return im.state;
-    }
-    im.stats = std::move(stats).value();
-    im.state = State::kDone;
-    return im.state;
-  }
-
-  // Pump phase: advance the shared scan while the source is ready.
-  Result<PumpState> pumped = im.demux->PumpUntilStalledOrDone();
-  if (!pumped.ok()) {
-    im.Fail(pumped.status());
-    return im.state;
-  }
-  if (*pumped == PumpState::kStalled) {
+  Result<bool> complete = im.Pump();
+  if (complete.ok() && !*complete) {
     im.state = State::kStalled;
     return im.state;
   }
-
-  // Scan complete: the replay log holds the full union-projected stream,
-  // so no evaluator can stall. Run them all.
-  im.evaluation_started = true;
-  im.stats.projection = SummarizeMergedProjection(im.trees);
-  for (size_t i = 0; i < im.queries.size(); ++i) {
-    BatchQueryContext* ctx = im.contexts[i].get();
-    Result<ExecStats> stats = EvaluateOne(
-        im.queries[i]->analyzed(), im.queries[i]->options(), *ctx,
-        [&im, ctx] { im.demux->Detach(ctx); }, im.outs[i], im.mode,
-        /*capture=*/nullptr, im.governor);
-    if (!stats.ok()) {
-      im.Fail(stats.status());
-      return im.state;
-    }
-    im.stats.per_query.push_back(std::move(stats).value());
+  // Input complete: the replay log (or DOM buffer) holds the whole
+  // document, so no evaluator can stall.
+  Status status = complete.ok() ? im.Evaluate() : complete.status();
+  if (status.ok()) {
+    im.state = State::kDone;
+  } else {
+    im.Fail(std::move(status));
   }
-  im.stats.shared = im.demux->stats();
-  im.stats.shared.scan_passes = 1;
-  im.stats.shared.bytes_scanned = im.demux->scanner().bytes_consumed();
-  im.stats.shared.merged_dfa_states = im.demux->merged().num_states();
-  // The kNaiveDom branch above published through engine.Execute already;
-  // this is the only exit for the streaming pump.
-  PublishMultiQueryStats(im.stats, GlobalMetrics(), &im.queries);
-  im.state = State::kDone;
   return im.state;
 }
 

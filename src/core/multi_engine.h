@@ -25,7 +25,10 @@
 //
 // Memory: the log retains the union-projected event stream until the last
 // query has replayed it — the inherent cost of evaluating N pull-based
-// queries against one sequential scan. The per-query buffers behave exactly
+// queries against one sequential scan. The resumable MultiQueryRun pumps the
+// whole stream before any evaluator runs, so a one-query run retains it too
+// (charged to its governor's replay ledgers), where Execute's lone evaluator
+// trims each event as it replays it. The per-query buffers behave exactly
 // as in solo runs (projection + active GC), so the paper's Sec. 3 safety
 // requirements hold per query and are re-checked here.
 
@@ -160,20 +163,14 @@ class MultiQueryEngine {
   void set_governor(RunGovernor* governor) { governor_ = governor; }
 
  private:
-  Result<MultiQueryStats> ExecuteStreamingBatch(
-      const std::vector<const CompiledQuery*>& queries,
-      std::unique_ptr<ByteSource> input,
-      const std::vector<std::ostream*>& outs) const;
-  Result<MultiQueryStats> ExecuteDomBatch(
-      const std::vector<const CompiledQuery*>& queries,
-      std::unique_ptr<ByteSource> input,
-      const std::vector<std::ostream*>& outs) const;
-
   RunGovernor* governor_ = nullptr;
 };
 
 /// Resumable batched execution over a readiness-aware source: the control
 /// flow is inverted from Execute's "pull until EOF" to "pump while ready".
+/// It is the one unsharded batch pipeline: MultiQueryEngine::Execute builds
+/// the same run and evaluates it straight away, so both produce the same
+/// outputs and per-query peak_bytes by construction.
 ///
 /// Step() advances the shared scan while the source produces data. When the
 /// source reports would-block, Step returns kStalled WITHOUT blocking — the
@@ -185,12 +182,11 @@ class MultiQueryEngine {
 ///
 /// Compared with MultiQueryEngine::Execute (evaluator-driven pull), the
 /// replay log here buffers the complete union-projected stream before the
-/// first evaluator runs when N >= 2 — the same peak the pull path reaches
-/// in practice (queries behind the head pin the log tail until they
-/// evaluate). A solo batch instead drains eagerly: each surviving event is
-/// delivered to the lone projector as it is appended and trimmed right
-/// away, so a parked or slow singleton retains O(1) replay log/arena
-/// rather than pinning the whole stream until its evaluator runs.
+/// first evaluator runs. For N >= 2 that is the same peak the pull path
+/// reaches (queries behind the head pin the log tail until they evaluate).
+/// A one-query run retains its union-projected log too, charged to the
+/// replay ledgers, where Execute trims each event as it is replayed; its
+/// buffer peak is still the solo engine's, since evaluation pulls lazily.
 class MultiQueryRun {
  public:
   enum class State {
@@ -234,6 +230,7 @@ class MultiQueryRun {
   Result<MultiQueryStats> TakeStats();
 
  private:
+  friend class MultiQueryEngine;  // Execute drives impl_ without Step
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -68,6 +68,34 @@ bool AdmitQuerySlug(const std::string& slug) {
 
 }  // namespace
 
+ExecStats MakeExecStats(std::chrono::steady_clock::time_point start,
+                        uint64_t output_bytes, const BufferTree* buffer,
+                        StreamProjector* projector,
+                        const XmlScanner* scanner) {
+  ExecStats stats;
+  if (buffer != nullptr) {
+    stats.buffer = buffer->stats();
+    stats.peak_bytes = stats.buffer.bytes_peak;
+    stats.live_roles_final = buffer->live_role_instances();
+    stats.buffer_nodes_final = stats.buffer.nodes_current;
+  }
+  if (projector != nullptr) {
+    stats.projector = projector->stats();
+    stats.dfa_states = projector->dfa().num_states();
+    stats.events_delivered = stats.projector.events_read;
+  }
+  if (scanner != nullptr) {
+    stats.scan_passes = 1;
+    stats.input_bytes = scanner->bytes_consumed();
+    stats.stalls = scanner->stalls();
+  }
+  stats.output_bytes = output_bytes;
+  stats.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return stats;
+}
+
 void PublishExecStats(const ExecStats& stats, const MetricsSink& sink,
                       std::string_view query_text) {
   if (!sink.active()) return;

@@ -1,5 +1,5 @@
-// Folds the per-call stats structs (ExecStats, MultiQueryStats) into the
-// process-wide metrics registry (common/metrics.h).
+// Builds the per-call stats structs (ExecStats, MultiQueryStats) and folds
+// them into the process-wide metrics registry (common/metrics.h).
 //
 // The legacy structs stay the cheap per-call return values; these folds run
 // once per completed run — a few dozen relaxed atomic adds — so the hot
@@ -24,11 +24,25 @@
 #ifndef GCX_CORE_STATS_PUBLISH_H_
 #define GCX_CORE_STATS_PUBLISH_H_
 
+#include <chrono>
+
 #include "common/metrics.h"
 #include "core/engine.h"
 #include "core/multi_engine.h"
 
 namespace gcx {
+
+/// Assembles one evaluation's ExecStats; every engine path fills them here.
+/// `buffer`/`projector` are the query's streaming pipeline (null for DOM
+/// evaluation, whose caller sets peak_bytes to the DOM size). `scanner` is a
+/// private input pass (null inside a batch, whose one shared pass is
+/// accounted in MultiQueryStats::shared): it sets scan_passes = 1,
+/// input_bytes and stalls.
+ExecStats MakeExecStats(std::chrono::steady_clock::time_point start,
+                        uint64_t output_bytes,
+                        const BufferTree* buffer = nullptr,
+                        StreamProjector* projector = nullptr,
+                        const XmlScanner* scanner = nullptr);
 
 /// Publishes one evaluation's ExecStats under `sink` (typically
 /// GlobalMetrics()). Solo runs carry scan_passes > 0 and contribute to

@@ -141,55 +141,58 @@ WaitStatus WaitAnyReadable(const std::vector<int>& fds, int timeout_ms) {
   return PollLoop(polls.data(), polls.size(), timeout_ms);
 }
 
-Status ReadAll(ByteSource* source, std::string* out,
-               RunGovernor* governor) {
+Result<bool> ReadAvailable(ByteSource* source, std::string* out,
+                           RunGovernor* governor, uint64_t* lease) {
   char chunk[1 << 16];
-  uint64_t arena_lease = 0;
   while (true) {
     if (governor != nullptr) {
-      Status checked = governor->Check();
-      if (!checked.ok()) {
-        governor->ReleaseArenaBytes(&arena_lease);
-        return checked;
-      }
-      checked = governor->UpdateArenaBytes(&arena_lease, out->size());
-      if (!checked.ok()) {
-        governor->ReleaseArenaBytes(&arena_lease);
-        return checked;
-      }
+      GCX_RETURN_IF_ERROR(governor->Check());
+      GCX_RETURN_IF_ERROR(governor->UpdateArenaBytes(lease, out->size()));
     }
     ByteSource::ReadResult r = source->Read(chunk, sizeof(chunk));
     switch (r.state) {
       case ByteSource::ReadState::kOk:
         out->append(chunk, r.bytes);
         break;
-      case ByteSource::ReadState::kWouldBlock: {
-        int timeout_ms =
-            governor != nullptr ? governor->BoundedWaitMs(-1) : -1;
-        if (WaitReadable(source->ReadyFd(), timeout_ms) ==
-            WaitStatus::kError) {
-          if (governor != nullptr) governor->ReleaseArenaBytes(&arena_lease);
-          return IoError(std::string("poll failed waiting for input: ") +
-                         std::strerror(errno));
-        }
-        if (governor != nullptr) {
-          Status checked = governor->Check(/*force_clock=*/true);
-          if (!checked.ok()) {
-            governor->ReleaseArenaBytes(&arena_lease);
-            return checked;
-          }
-        }
-        break;
-      }
+      case ByteSource::ReadState::kWouldBlock:
+        return false;
       case ByteSource::ReadState::kEof:
-        if (governor != nullptr) governor->ReleaseArenaBytes(&arena_lease);
-        return Status::Ok();
+        return true;
       case ByteSource::ReadState::kError:
-        if (governor != nullptr) governor->ReleaseArenaBytes(&arena_lease);
         return IoError(std::string("source read error: ") +
                        std::strerror(r.error));
     }
   }
+}
+
+namespace {
+
+Status DrainToEof(ByteSource* source, std::string* out, RunGovernor* governor,
+                  uint64_t* lease) {
+  while (true) {
+    GCX_ASSIGN_OR_RETURN(bool eof,
+                         ReadAvailable(source, out, governor, lease));
+    if (eof) return Status::Ok();
+    int timeout_ms = governor != nullptr ? governor->BoundedWaitMs(-1) : -1;
+    if (WaitReadable(source->ReadyFd(), timeout_ms) == WaitStatus::kError) {
+      return IoError(std::string("poll failed waiting for input: ") +
+                     std::strerror(errno));
+    }
+    if (governor != nullptr) {
+      GCX_RETURN_IF_ERROR(governor->Check(/*force_clock=*/true));
+    }
+  }
+}
+
+}  // namespace
+
+Status ReadAll(ByteSource* source, std::string* out, RunGovernor* governor,
+               uint64_t* lease) {
+  if (lease != nullptr) return DrainToEof(source, out, governor, lease);
+  uint64_t own_lease = 0;
+  Status status = DrainToEof(source, out, governor, &own_lease);
+  if (governor != nullptr) governor->ReleaseArenaBytes(&own_lease);
+  return status;
 }
 
 }  // namespace gcx

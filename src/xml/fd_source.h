@@ -77,14 +77,23 @@ WaitStatus WaitAnyReadable(const std::vector<int>& fds, int timeout_ms);
 
 class RunGovernor;
 
+/// Appends whatever `source` has ready to `*out` without blocking: true at
+/// EOF, false once the source would block. With a governor every read is a
+/// checkpoint, and `out->size()` is charged against the arena budget through
+/// the ledger cursor `*lease`, which the caller releases.
+Result<bool> ReadAvailable(ByteSource* source, std::string* out,
+                           RunGovernor* governor, uint64_t* lease);
+
 /// Drains `source` to EOF into `*out`, waiting on readiness across stalls
 /// (the blocking convenience for consumers that need the whole document,
 /// e.g. the DOM engines). With a governor, waits are bounded by the
 /// remaining deadline and the materialized bytes are charged against the
 /// arena budget, so a stalled or oversized source surfaces a typed error
-/// instead of hanging or growing without limit.
+/// instead of hanging or growing without limit. The charge is released on
+/// return unless `lease` is given, in which case it stays on that cursor
+/// for the caller to release.
 Status ReadAll(ByteSource* source, std::string* out,
-               RunGovernor* governor = nullptr);
+               RunGovernor* governor = nullptr, uint64_t* lease = nullptr);
 
 }  // namespace gcx
 

@@ -455,32 +455,6 @@ TEST(AdmissionAdaptive, MemoryPressureShrinksCapAndShardsCalmRecovers) {
   EXPECT_EQ(controller.stats().adaptive_increases, 2u);
 }
 
-TEST(AdmissionAdaptive, SerialModeIsNeverAdapted) {
-  // interleave = false is the benchmarking baseline; adaptation must not
-  // touch it even when requested and pressured.
-  const std::string doc = "<a><b>1</b><b>2</b></a>";
-  AdmissionLimits limits;
-  limits.interleave = false;
-  limits.adaptive = true;
-  limits.adaptive_arena_budget_bytes = 1;
-  limits.adaptive_hysteresis = 1;
-  QueryCache cache;
-  AdmissionController controller(&cache, limits);
-  controller.RegisterDocument("doc", doc);
-  std::ostringstream o1, o2;
-  ASSERT_TRUE(controller.Submit("<r>{ count(/a/b) }</r>", {}, "doc", &o1).ok());
-  ASSERT_TRUE(controller.Submit("<s>{ for $x in /a/b return $x }</s>", {},
-                                "doc", &o2)
-                  .ok());
-  ASSERT_TRUE(controller.Run().ok());
-  EXPECT_EQ(o1.str(), "<r>2</r>");
-  EXPECT_EQ(controller.stats().adaptive_batch_cap, 0u);
-  EXPECT_EQ(controller.stats().adaptive_increases, 0u);
-  EXPECT_EQ(controller.stats().adaptive_decreases_by_memory, 0u);
-  EXPECT_EQ(controller.stats().adaptive_decreases_by_stalls, 0u);
-  EXPECT_EQ(controller.stats().adaptive_shard_decreases, 0u);
-}
-
 TEST(AdmissionConcurrency, ParallelSubmitsThroughOneSharedCache) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 16;
@@ -577,7 +551,7 @@ TEST(AdmissionScheduling, ReadyGroupsFinishAheadOfAStalledOne) {
   const std::string doc = "<a><b>1</b><b>2</b></a>";
   QueryCache cache;
   AdmissionController controller(&cache);
-  // The slow group is submitted FIRST: under the legacy strict order it
+  // The slow group is submitted FIRST: a strict first-submission order
   // would gate everything behind its stalled pipe.
   int slow_fd = RegisterPipeDocument(&controller, "slow");
   controller.RegisterDocument("fast", doc);
@@ -618,37 +592,6 @@ TEST(AdmissionScheduling, ReadyGroupsFinishAheadOfAStalledOne) {
   AdmissionStats stats = controller.stats();
   EXPECT_GE(stats.batches_parked, 1u);
   EXPECT_GE(stats.batch_resumes, 1u);
-}
-
-TEST(AdmissionScheduling, SerialModeBlocksBehindTheStalledGroup) {
-  const std::string doc = "<a><b>1</b><b>2</b></a>";
-  AdmissionLimits limits;
-  limits.interleave = false;
-  QueryCache cache;
-  AdmissionController controller(&cache, limits);
-  int slow_fd = RegisterPipeDocument(&controller, "slow");
-  controller.RegisterDocument("fast", doc);
-
-  std::atomic<int> sequence{0};
-  StampedStream slow_out(&sequence), fast_out(&sequence);
-  ASSERT_TRUE(
-      controller.Submit("<r>{ count(/a/b) }</r>", {}, "slow", &slow_out).ok());
-  ASSERT_TRUE(
-      controller.Submit("<r>{ count(/a/b) }</r>", {}, "fast", &fast_out).ok());
-
-  std::thread writer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    ASSERT_EQ(::write(slow_fd, doc.data(), doc.size()),
-              static_cast<ssize_t>(doc.size()));
-    ::close(slow_fd);
-  });
-  auto run = controller.Run();
-  writer.join();
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(slow_out.str(), "<r>2</r>");
-  EXPECT_EQ(fast_out.str(), "<r>2</r>");
-  // Strict first-submission order: the stalled group completed first.
-  EXPECT_LT(slow_out.stamp(), fast_out.stamp());
 }
 
 TEST(AdmissionScheduling, PollableSingletonIsParkedNotBlocking) {

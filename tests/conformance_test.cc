@@ -500,46 +500,82 @@ TEST(ConformanceMultiQuery, BatchedWouldBlockReadsMatchGoldens) {
   }
 }
 
-TEST(ConformanceMultiQuery, ResumableRunMatchesGoldensUnderWouldBlock) {
-  // The same sweep through the pump-while-ready MultiQueryRun: Step must
-  // report kStalled (never block) and the final outputs must match.
+TEST(ConformanceMultiQuery, ResumableRunMatchesExecuteUnderWouldBlock) {
+  // Execute (evaluator-driven pulls) and the pump-while-ready MultiQueryRun
+  // share one batch pipeline: under stall injection, Step must report
+  // kStalled (never block), and both drivers must agree on every output and
+  // per-query buffer figure, for every group size and engine configuration.
+  // From two queries on, the queries behind the head pin the replay log
+  // either way, so its peaks must agree too; a one-query Execute trims as
+  // it replays while the resumable run retains the log until it evaluates.
   std::vector<DocumentGroup> groups = GroupByDocument();
   ASSERT_FALSE(groups.empty());
   size_t stalled_steps = 0;
-  for (const DocumentGroup& group : groups) {
-    if (group.cases.size() < 2) continue;
-    std::vector<CompiledQuery> compiled;
-    for (const Case& c : group.cases) {
-      auto one = CompiledQuery::Compile(c.query, {});
-      ASSERT_TRUE(one.ok()) << c.name;
-      compiled.push_back(std::move(one).value());
-    }
-    std::vector<const CompiledQuery*> batch;
-    std::vector<std::ostringstream> buffers(compiled.size());
-    std::vector<std::ostream*> outs;
-    for (size_t i = 0; i < compiled.size(); ++i) {
-      batch.push_back(&compiled[i]);
-      outs.push_back(&buffers[i]);
-    }
-    MultiQueryRun run(batch,
-                      std::make_unique<WouldBlockEveryNSource>(group.document, 7),
-                      outs);
-    while (true) {
-      MultiQueryRun::State state = run.Step();
-      if (state == MultiQueryRun::State::kStalled) {
-        ++stalled_steps;  // shim is ready again on the next read
-        continue;
+  for (const NamedEngineConfig& config : StandardEngineConfigs()) {
+    for (const DocumentGroup& group : groups) {
+      std::vector<CompiledQuery> compiled;
+      for (const Case& c : group.cases) {
+        auto one = CompiledQuery::Compile(c.query, config.options);
+        ASSERT_TRUE(one.ok()) << c.name;
+        compiled.push_back(std::move(one).value());
       }
-      ASSERT_EQ(state, MultiQueryRun::State::kDone)
-          << group.cases.front().name << ": " << run.status().ToString();
-      break;
-    }
-    auto stats = run.TakeStats();
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats->shared.scan_passes, 1u);
-    for (size_t i = 0; i < group.cases.size(); ++i) {
-      EXPECT_EQ(buffers[i].str(), group.cases[i].expected)
-          << group.cases[i].name << ": MultiQueryRun output diverges";
+      std::vector<const CompiledQuery*> batch;
+      std::vector<std::ostringstream> executed(compiled.size());
+      std::vector<std::ostringstream> stepped(compiled.size());
+      std::vector<std::ostream*> executed_outs;
+      std::vector<std::ostream*> stepped_outs;
+      for (size_t i = 0; i < compiled.size(); ++i) {
+        batch.push_back(&compiled[i]);
+        executed_outs.push_back(&executed[i]);
+        stepped_outs.push_back(&stepped[i]);
+      }
+      const std::string label =
+          group.cases.front().name + "+ [" + config.name + "]";
+
+      MultiQueryEngine engine;
+      auto want = engine.Execute(
+          batch, std::make_unique<WouldBlockEveryNSource>(group.document, 7),
+          executed_outs);
+      ASSERT_TRUE(want.ok()) << label << ": " << want.status().ToString();
+
+      MultiQueryRun run(
+          batch, std::make_unique<WouldBlockEveryNSource>(group.document, 7),
+          stepped_outs);
+      while (true) {
+        MultiQueryRun::State state = run.Step();
+        if (state == MultiQueryRun::State::kStalled) {
+          ++stalled_steps;  // shim is ready again on the next read
+          continue;
+        }
+        ASSERT_EQ(state, MultiQueryRun::State::kDone)
+            << label << ": " << run.status().ToString();
+        break;
+      }
+      auto got = run.TakeStats();
+      ASSERT_TRUE(got.ok());
+
+      EXPECT_EQ(got->shared.scan_passes, 1u);
+      ASSERT_EQ(got->per_query.size(), group.cases.size());
+      ASSERT_EQ(want->per_query.size(), group.cases.size());
+      for (size_t i = 0; i < group.cases.size(); ++i) {
+        const std::string& name = group.cases[i].name;
+        EXPECT_EQ(stepped[i].str(), group.cases[i].expected)
+            << name << " [" << config.name
+            << "]: MultiQueryRun output diverges";
+        EXPECT_EQ(stepped[i].str(), executed[i].str()) << name;
+        EXPECT_EQ(got->per_query[i].peak_bytes, want->per_query[i].peak_bytes)
+            << name << " [" << config.name << "]";
+        EXPECT_EQ(got->per_query[i].live_roles_final,
+                  want->per_query[i].live_roles_final)
+            << name << " [" << config.name << "]";
+      }
+      if (group.cases.size() >= 2) {
+        EXPECT_EQ(got->shared.replay_log_peak, want->shared.replay_log_peak)
+            << label;
+        EXPECT_EQ(got->shared.replay_arena_peak_bytes,
+                  want->shared.replay_arena_peak_bytes)
+            << label;
+      }
     }
   }
   EXPECT_GT(stalled_steps, 0u) << "the shim should have forced stalls";

@@ -385,6 +385,46 @@ TEST(BudgetEdges, ArenaByteCapTripsTinyPassesGenerous) {
   }
 }
 
+TEST(BudgetEdges, DomBatchArenaCapAgreesAcrossExecuteAndResumableRun) {
+  // A kNaiveDom batch materializes the document once and charges it to the
+  // arena ledger once, whichever driver runs the batch pipeline: a cap of
+  // 1.5x the document fits both.
+  std::string doc = "<a>";
+  for (int i = 0; i < 9000; ++i) {
+    doc += "<b><c>payload-" + std::to_string(i) + "</c></b>";
+  }
+  doc += "</a>";
+  EngineOptions dom;
+  dom.mode = EngineMode::kNaiveDom;
+  auto q1 = CompiledQuery::Compile("<r>{ count(//c) }</r>", dom);
+  auto q2 = CompiledQuery::Compile("<r>{ for $x in /a/b return $x }</r>", dom);
+  ASSERT_TRUE(q1.ok() && q2.ok());
+  RunBudget budget;
+  budget.max_arena_bytes = doc.size() * 3 / 2;
+
+  std::ostringstream ref1, ref2;
+  {
+    RunGovernor governor(budget);
+    MultiQueryEngine engine;
+    engine.set_governor(&governor);
+    auto stats = engine.Execute({&*q1, &*q2}, doc, {&ref1, &ref2});
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  }
+  {
+    RunGovernor governor(budget);
+    std::ostringstream o1, o2;
+    MultiQueryRun run({&*q1, &*q2},
+                      std::make_unique<WouldBlockEveryNSource>(doc, 4096),
+                      {&o1, &o2}, &governor);
+    while (run.Step() == MultiQueryRun::State::kStalled) {
+    }
+    ASSERT_EQ(run.state(), MultiQueryRun::State::kDone)
+        << run.status().ToString();
+    EXPECT_EQ(o1.str(), ref1.str());
+    EXPECT_EQ(o2.str(), ref2.str());
+  }
+}
+
 // --- 3. deadlines & cancellation ---------------------------------------------
 
 /// A source that never produces a byte and never reaches EOF.

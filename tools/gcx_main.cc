@@ -24,8 +24,6 @@
 //                     hand-built batch
 //   --admission-batch=N    admission: max queries per batch (default 16)
 //   --admission-memory=N   admission: replay-log budget in events (0 = off)
-//   --admission-serial     admission: strict first-submission order with
-//                     blocking waits (disables ready-batch interleaving)
 //   --admission-adaptive   admission: self-tune the effective batch cap
 //                     (and shard count) from observed stall/memory pressure
 //   --admission-arena-budget=N  admission: replay-arena byte budget for the
@@ -120,7 +118,6 @@ void Help(const char* argv0) {
          "                    controller (grouping + batch limits)\n"
          "  --admission-batch=N   admission: max queries per batch\n"
          "  --admission-memory=N  admission: replay-log budget in events\n"
-         "  --admission-serial    admission: strict order, no interleaving\n"
          "  --admission-adaptive  admission: self-tune batch cap / shards\n"
          "  --admission-arena-budget=N  adaptive replay-arena byte budget\n"
          "  --metrics-json=FILE   dump a metrics snapshot (JSON) after the\n"
@@ -232,7 +229,6 @@ int main(int argc, char** argv) {
   bool admission_flag = false;
   size_t admission_batch = 16;
   uint64_t admission_memory = 0;
-  bool admission_serial = false;
   bool admission_adaptive = false;
   uint64_t admission_arena_budget = 0;
   std::string metrics_json_path;
@@ -296,9 +292,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       admission_memory = static_cast<uint64_t>(v);
-    } else if (arg == "--admission-serial") {
-      admission_flag = true;
-      admission_serial = true;
     } else if (arg == "--admission-adaptive") {
       admission_flag = true;
       admission_adaptive = true;
@@ -565,7 +558,6 @@ int main(int argc, char** argv) {
     gcx::AdmissionLimits limits;
     limits.max_batch_queries = admission_batch;
     limits.max_replay_log_events = admission_memory;
-    limits.interleave = !admission_serial;
     limits.shards = shards;
     limits.adaptive = admission_adaptive;
     limits.adaptive_arena_budget_bytes = admission_arena_budget;
