@@ -28,9 +28,13 @@
 // queries against one sequential scan. The resumable MultiQueryRun pumps the
 // whole stream before any evaluator runs, so a one-query run retains it too
 // (charged to its governor's replay ledgers), where Execute's lone evaluator
-// trims each event as it replays it. The per-query buffers behave exactly
-// as in solo runs (projection + active GC), so the paper's Sec. 3 safety
-// requirements hold per query and are re-checked here.
+// trims each event as it replays it. A sharded run (ExecuteSharded) keeps
+// every shard's log and arena until the batch ends: the merge-and-replay
+// log is spliced from them (entries moved, text left in the shard arenas),
+// and the shard demuxes release their ledger charges when destroyed. The
+// per-query buffers behave exactly as in solo runs (projection + active
+// GC), so the paper's Sec. 3 safety requirements hold per query and are
+// re-checked here.
 
 #ifndef GCX_CORE_MULTI_ENGINE_H_
 #define GCX_CORE_MULTI_ENGINE_H_
@@ -135,18 +139,21 @@ class MultiQueryEngine {
       const std::vector<std::ostream*>& outs) const;
 
   /// Sharded variant over a STORED document (core/shard.h): plans subtree
-  /// boundaries and scans the slices in parallel on a worker pool (each
-  /// worker owns a scanner + merged DFA over the one shared tag table).
-  /// Queries the classifier (analysis/shard_classifier.h) proves
-  /// subtree-independent are evaluated INSIDE the workers — the ordinary
-  /// projector/buffer/evaluator pipeline per dynamic query part over the
-  /// shard's framed slice — and only per-query *results* are concatenated
-  /// in document order (aggregate partials combined for count/sum). The
-  /// remaining queries replay the merged event stream serially, exactly as
-  /// before; both paths are byte-identical to Execute. Falls back to the
-  /// single-scan Execute when the planner declines (small/unshardable
-  /// document, shards <= 1, kNaiveDom), which also preserves exact scanner
-  /// errors for malformed input.
+  /// boundaries and scans the slices in parallel on a worker pool, each
+  /// worker pumping its own shared-scan demux (scanner + merged DFA +
+  /// replay log) over the one shared tag table. Queries the classifier
+  /// (analysis/shard_classifier.h) proves subtree-independent are
+  /// evaluated INSIDE the workers — the ordinary projector/buffer/evaluator
+  /// pipeline per dynamic query part over the shard's framed log — and only
+  /// per-query *results* are concatenated in document order (aggregate
+  /// partials combined for count/sum). The shard logs are then spliced into
+  /// one replay log, minus their synthetic wrappers, and the remaining
+  /// queries evaluate over it through the same pipeline as an unsharded
+  /// batch (MultiQueryRun), so per-query buffer peaks match Execute's; both
+  /// paths are byte-identical to Execute. Falls back to the single-scan
+  /// Execute when the planner declines (small/unshardable document,
+  /// shards <= 1, kNaiveDom), which also preserves exact scanner errors for
+  /// malformed input.
   Result<MultiQueryStats> ExecuteSharded(
       const std::vector<const CompiledQuery*>& queries, std::string_view input,
       const std::vector<std::ostream*>& outs,

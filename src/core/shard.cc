@@ -1,15 +1,9 @@
 #include "core/shard.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstring>
-#include <thread>
 #include <utility>
 
 #include "analysis/shard_classifier.h"
-#include "common/budget.h"
-#include "core/event_filter.h"
-#include "xml/fd_source.h"
 
 namespace gcx {
 
@@ -26,41 +20,10 @@ bool IsNameStart(char c) {
          c == ':';
 }
 
-/// Zero-copy three-part source: synthetic entry wrapper, the document
-/// slice (viewed, not copied), synthetic exit wrapper.
-class SliceSource : public ByteSource {
- public:
-  SliceSource(std::string prefix, std::string_view body, std::string suffix)
-      : prefix_(std::move(prefix)), body_(body), suffix_(std::move(suffix)) {}
-
-  ReadResult Read(char* buffer, size_t capacity) override {
-    while (part_ < 3) {
-      std::string_view current = part_ == 0   ? std::string_view(prefix_)
-                                 : part_ == 1 ? body_
-                                              : std::string_view(suffix_);
-      if (pos_ < current.size()) {
-        size_t n = std::min(capacity, current.size() - pos_);
-        std::memcpy(buffer, current.data() + pos_, n);
-        pos_ += n;
-        return ReadResult::Ok(n);
-      }
-      ++part_;
-      pos_ = 0;
-    }
-    return ReadResult::Eof();
-  }
-
- private:
-  std::string prefix_;
-  std::string_view body_;
-  std::string suffix_;
-  int part_ = 0;
-  size_t pos_ = 0;
-};
-
 }  // namespace
 
-ShardPlan PlanShards(std::string_view doc, const ShardOptions& options) {
+ShardPlan PlanShards(std::string_view doc, const ShardOptions& options,
+                     const std::vector<RelativePath>& avoid_paths) {
   ShardPlan plan;  // sharded == false until proven otherwise
   const size_t want = options.shards;
   if (want <= 1) return plan;
@@ -91,7 +54,7 @@ ShardPlan PlanShards(std::string_view doc, const ShardOptions& options) {
   // one of the avoid paths at a prefix — a shard-local query's match would
   // straddle the cut (see analysis/shard_classifier.h).
   auto boundary_safe = [&](const std::vector<std::string_view>& open) {
-    for (const RelativePath& avoid : options.boundary_avoid_paths) {
+    for (const RelativePath& avoid : avoid_paths) {
       if (EntryPathCompletesPath(avoid, open)) return false;
     }
     return true;
@@ -237,162 +200,6 @@ ShardPlan PlanShards(std::string_view doc, const ShardOptions& options) {
   }
   plan.sharded = true;
   return plan;
-}
-
-void ScanShard(std::string_view doc, const ShardSlice& slice,
-               const ScannerOptions& scanner_options,
-               const std::vector<MergedDfaInput>& dfa_inputs,
-               SymbolTable* tags, const ShardOptions& options,
-               ShardScanResult* result, size_t shard_index,
-               ShardAbort* abort, RunGovernor* governor) {
-  // Synthetic wrappers: attribute-free tags, so each contributes exactly
-  // one scanner event in either attribute mode, and no newlines, so the
-  // slice's line numbers stay document-accurate.
-  std::string prefix;
-  for (const std::string& name : slice.entry_path) {
-    prefix += '<';
-    prefix += name;
-    prefix += '>';
-  }
-  std::string suffix;
-  for (auto it = slice.exit_path.rbegin(); it != slice.exit_path.rend();
-       ++it) {
-    suffix += "</";
-    suffix += *it;
-    suffix += '>';
-  }
-  std::string_view body = doc.substr(slice.begin, slice.end - slice.begin);
-
-  std::unique_ptr<ByteSource> source;
-  if (options.wrap_source) {
-    std::string composite;
-    composite.reserve(prefix.size() + body.size() + suffix.size());
-    composite += prefix;
-    composite.append(body.data(), body.size());
-    composite += suffix;
-    source = options.wrap_source(std::move(composite));
-  } else {
-    source = std::make_unique<SliceSource>(std::move(prefix), body,
-                                           std::move(suffix));
-  }
-
-  ScannerOptions scan_options = scanner_options;
-  scan_options.start_line = slice.start_line;
-  XmlScanner scanner(std::move(source), scan_options, tags);
-  // Private DFA per shard: Transition memoizes product states in place.
-  MergedDfa dfa(dfa_inputs, tags);
-  ProjectedEventFilter filter(&dfa);
-
-  uint64_t scan_index = 0;
-  uint64_t stall_spins = 0;
-  uint64_t arena_lease = 0;
-  uint64_t replay_lease = 0;
-  // A governor trip here fails this shard AND pulses the shared cancel
-  // token, so every sibling's next checkpoint observes the same canonical
-  // reason — the in-order sweep then reports one deterministic error.
-  auto fail = [&](Status status) {
-    result->status = std::move(status);
-    if (abort != nullptr) abort->Fail(shard_index);
-  };
-  while (true) {
-    if (abort != nullptr && abort->ShouldAbort(shard_index)) {
-      result->status =
-          IoError("shard scan cancelled after an earlier shard failed");
-      break;
-    }
-    if (governor != nullptr) {
-      Status check = governor->Check();
-      if (!check.ok()) {
-        fail(std::move(check));
-        break;
-      }
-    }
-    XmlEvent event;
-    Status next = scanner.Next(&event);
-    if (IsWouldBlock(next)) {
-      int fd = scanner.ReadyFd();
-      if (fd >= 0) {
-        // Bounded wait so an abort (or a deadline armed on the governor)
-        // signalled meanwhile is still noticed.
-        WaitReadable(fd, governor != nullptr ? governor->BoundedWaitMs(20)
-                                             : 20);
-      } else {
-        // Non-pollable source: WaitReadable(-1, ...) has no fd to poll, so
-        // back off here — yield while the stall looks transient, then
-        // sleep so a long stall doesn't monopolize a core.
-        if (++stall_spins <= 64) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-      }
-      if (governor != nullptr) {
-        // The wait may have ended on the deadline, not on data.
-        Status check = governor->Check(/*force_clock=*/true);
-        if (!check.ok()) {
-          fail(std::move(check));
-          break;
-        }
-      }
-      continue;
-    }
-    stall_spins = 0;
-    if (!next.ok()) {
-      fail(std::move(next));
-      break;
-    }
-    const uint64_t index = scan_index++;
-    Result<ProjectedEventFilter::Action> action = filter.Apply(event);
-    if (!action.ok()) {
-      fail(action.status());
-      break;
-    }
-    if (*action == ProjectedEventFilter::Action::kSkip) continue;
-    if (event.kind == XmlEvent::Kind::kEndOfDocument) break;
-    // Synthetic wrapper events that survive the filter are logged too:
-    // the log then forms a balanced, correctly nested stream on its own (a
-    // wrapper element the filter subtree-skipped disappears TOGETHER with
-    // whatever slice events sat inside its skip region, including its real
-    // close tag), which is exactly what worker-side evaluation replays.
-    // The merge path drops them again by scan_index.
-    ShardEvent out;
-    out.kind = event.kind;
-    out.tag = event.tag;
-    out.scan_index = index;
-    if (!event.text.empty()) {
-      uint32_t chunk;  // shard logs are dropped wholesale: handle unused
-      // Checked append: identical to Append unless the fault harness armed
-      // the ArenaFaultInjector, whose injected failure surfaces as the
-      // run's typed resource error.
-      if (!result->arena.AppendChecked(event.text, &out.text, &chunk)) {
-        Status failed = ResourceExhaustedError(
-            "replay arena allocation failed (injected fault)");
-        fail(governor != nullptr ? governor->TripExternal(std::move(failed))
-                                 : std::move(failed));
-        break;
-      }
-    }
-    result->log.push_back(out);
-    if (governor != nullptr) {
-      Status charged = governor->UpdateArenaBytes(
-          &arena_lease, result->arena.stats().bytes_live);
-      if (charged.ok()) {
-        charged =
-            governor->UpdateReplayEvents(&replay_lease, result->log.size());
-      }
-      if (!charged.ok()) {
-        fail(std::move(charged));
-        break;
-      }
-    }
-  }
-
-  result->scanner_events = scan_index;
-  result->events_skipped = filter.events_skipped();
-  result->subtrees_skipped = filter.subtrees_skipped();
-  result->bytes_scanned = slice.end - slice.begin;
-  result->arena_peak_bytes = result->arena.stats().bytes_peak;
-  result->dfa_states = dfa.num_states();
 }
 
 }  // namespace gcx

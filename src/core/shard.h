@@ -7,16 +7,18 @@
 // fully available, as in the admission controller's registered-content
 // path) that scan is parallelizable: a cheap structural pre-pass
 // (PlanShards) finds element-start boundaries that split the document into
-// contiguous byte slices, and each slice is scanned by its own worker with
-// a private scanner + merged DFA over one shared SymbolTable.
+// contiguous byte slices, and each slice is scanned by its own worker on a
+// private SharedScanDemux (scanner + merged-DFA prefilter + replay log,
+// core/multi_engine.cc) over one shared SymbolTable.
 //
-// Correctness model. Only the scan/prefilter/projection phase is
-// parallelized; events are merged back in document order and the per-query
-// evaluators run serially over the merged stream, so outputs are
-// byte-identical to the unsharded scan (evaluation order, buffer GC and
-// output formatting are untouched). A worker reconstructs the stream
-// context at its boundary by scanning synthetic wrappers: the slice is
-// framed as
+// Correctness model. Only the scan/prefilter phase (plus the evaluation of
+// provably shard-local queries) is parallelized; the shard logs are spliced
+// back in document order into one replay log, and the remaining per-query
+// evaluators run serially over it exactly as in an unsharded batch, so
+// outputs are byte-identical to the unsharded scan (evaluation order,
+// buffer GC and output formatting are untouched). A worker reconstructs the
+// stream context at its boundary by scanning synthetic wrappers: the slice
+// is framed as
 //
 //     <a><b>  ...slice bytes...  </c></a>
 //
@@ -25,9 +27,14 @@
 // framed slice is too). The wrapper events re-build both the scanner's
 // balance stack and the prefilter's DFA frame stack — transitions are
 // deterministic, so every skip decision matches what the unsharded scan
-// decides at the same position — and are dropped again at merge time by
-// their scanner-event ordinals. Boundaries sit only at element starts, so
-// no text run, tag or entity is ever split.
+// decides at the same position. Filter-surviving wrappers are logged like
+// any other event, so each shard log is a balanced stream by itself (what
+// shard-local evaluation replays). The splice drops them by one count per
+// seam: the log length when a shard's scanner has produced its entry
+// path's start events. The same path closes the previous shard and the
+// filter is deterministic, so that shard logged exactly as many exit
+// wrappers. Boundaries sit only at element starts, so no text run, tag or
+// entity is ever split.
 //
 // Failure model. PlanShards is purely lexical and never fails: a document
 // it cannot shard safely (too small, structurally dubious, no usable
@@ -42,7 +49,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -50,11 +56,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/arena.h"
-#include "common/status.h"
-#include "common/symbol_table.h"
-#include "projection/merged_dfa.h"
-#include "xml/event.h"
 #include "xml/scanner.h"
 #include "xpath/path.h"
 
@@ -78,12 +79,6 @@ struct ShardOptions {
   /// merge-and-replay path either way; false forces merge-and-replay for
   /// everything (test/bench seam).
   bool local_eval = true;
-  /// Planner avoid-hints: candidate boundaries whose open-element stack
-  /// could complete one of these paths at a prefix (see
-  /// analysis/shard_classifier.h) are skipped, so shard-local queries stay
-  /// eligible. Best-effort — an unplannable hint set falls back to
-  /// unhinted planning.
-  std::vector<RelativePath> boundary_avoid_paths;
   /// Test seam: wraps the exact byte sequence a shard scans (synthetic
   /// prefix + slice + synthetic suffix) in a custom ByteSource — e.g. a
   /// would-block stall injector. Unset: an internal zero-copy source.
@@ -111,8 +106,12 @@ struct ShardPlan {
 /// of roughly even size at element-start boundaries. Mirrors the scanner's
 /// lexical rules (comments, CDATA, PIs, DOCTYPE, quoted attribute values)
 /// and validates tag nesting along the way; any irregularity disables
-/// sharding rather than failing.
-ShardPlan PlanShards(std::string_view doc, const ShardOptions& options);
+/// sharding rather than failing. Candidate boundaries whose open-element
+/// stack could complete one of `avoid_paths` at a prefix (see
+/// analysis/shard_classifier.h) are skipped, so shard-local queries stay
+/// eligible.
+ShardPlan PlanShards(std::string_view doc, const ShardOptions& options,
+                     const std::vector<RelativePath>& avoid_paths = {});
 
 /// Shared fail-fast flag for one sharded run. A failing shard records its
 /// index (CAS-min, so the EARLIEST failing shard in document order wins
@@ -133,58 +132,6 @@ struct ShardAbort {
     return first_failed.load(std::memory_order_relaxed) < shard_index;
   }
 };
-
-/// One surviving event of a shard's scan. `text` views the result's arena;
-/// `scan_index` is the event's ordinal in the shard's scanner stream.
-/// Filter-surviving synthetic wrapper events are logged like any other —
-/// the log is then a balanced, correctly nested stream by itself (the
-/// filter only drops whole subtrees, so a skipped wrapper element vanishes
-/// together with its real close tag), ready for worker-side evaluation.
-/// The merge path identifies wrapper events by ordinal — entry starts are
-/// `scan_index < entry_path.size()`, exit ends (plus end-of-document) are
-/// `scan_index >= scanner_events - exit_path.size() - 1` — and drops them
-/// when concatenating logs for replay.
-struct ShardEvent {
-  XmlEvent::Kind kind = XmlEvent::Kind::kEndOfDocument;
-  TagId tag = kInvalidTag;
-  std::string_view text;
-  uint64_t scan_index = 0;
-};
-
-/// What one worker hands back: the projected event log of its slice (plus
-/// the arena owning the text payloads) and scan counters.
-struct ShardScanResult {
-  Status status = Status::Ok();
-  std::vector<ShardEvent> log;
-  ByteArena arena;
-  uint64_t scanner_events = 0;  ///< all events the shard's scanner produced
-  uint64_t events_skipped = 0;
-  uint64_t subtrees_skipped = 0;
-  uint64_t bytes_scanned = 0;
-  uint64_t arena_peak_bytes = 0;
-  uint64_t dfa_states = 0;
-};
-
-class RunGovernor;
-
-/// Scans one slice: synthetic wrappers + slice bytes through a private
-/// scanner and merged-DFA prefilter (one MergedDfa per call — Transition
-/// memoizes in place and is not thread-safe), appending surviving events
-/// to `result`. Safe to run concurrently for distinct results over one
-/// shared thread-safe SymbolTable. Waits across would-block stalls with a
-/// bounded poll/yield so a shared abort (a failure in an earlier shard,
-/// signalled via `abort`) is noticed promptly; an aborted scan returns
-/// with an error status the in-order sweep never reports (the earlier
-/// shard's own error surfaces first). `governor`, when non-null, turns
-/// every event into a cooperative checkpoint (deadline, cross-worker
-/// cancellation) and charges this shard's log/arena against the shared
-/// replay/arena ledgers — a trip cancels every sibling worker promptly.
-void ScanShard(std::string_view doc, const ShardSlice& slice,
-               const ScannerOptions& scanner_options,
-               const std::vector<MergedDfaInput>& dfa_inputs,
-               SymbolTable* tags, const ShardOptions& options,
-               ShardScanResult* result, size_t shard_index = 0,
-               ShardAbort* abort = nullptr, RunGovernor* governor = nullptr);
 
 }  // namespace gcx
 

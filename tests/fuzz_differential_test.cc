@@ -161,6 +161,17 @@ std::string RandomDocument(uint64_t seed) {
   return out;
 }
 
+/// The four analysis toggles as bits: 1 GC, 2 aggregate roles,
+/// 4 redundant-role elimination, 8 early updates.
+EngineOptions MaskOptions(int mask) {
+  EngineOptions options;
+  options.enable_gc = (mask & 1) != 0;
+  options.aggregate_roles = (mask & 2) != 0;
+  options.eliminate_redundant_roles = (mask & 4) != 0;
+  options.early_updates = (mask & 8) != 0;
+  return options;
+}
+
 class FuzzDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FuzzDifferentialTest, RandomQueriesMatchOracle) {
@@ -186,12 +197,7 @@ TEST_P(FuzzDifferentialTest, RandomQueriesMatchOracle) {
         << oracle_stats.status().ToString() << "\n" << query;
 
     for (int mask : {0, 3, 7, 15}) {
-      EngineOptions options;
-      options.enable_gc = (mask & 1) != 0;
-      options.aggregate_roles = (mask & 2) != 0;
-      options.eliminate_redundant_roles = (mask & 4) != 0;
-      options.early_updates = (mask & 8) != 0;
-      auto compiled = CompiledQuery::Compile(query, options);
+      auto compiled = CompiledQuery::Compile(query, MaskOptions(mask));
       ASSERT_TRUE(compiled.ok())
           << compiled.status().ToString() << "\n" << query;
       std::ostringstream actual;
@@ -273,6 +279,78 @@ TEST_P(FuzzMultiQueryTest, BatchedExecutionMatchesSoloRuns) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzMultiQueryTest,
                          ::testing::Range<uint64_t>(0, 20));
+
+// --- sharded vs solo execution ------------------------------------------------
+//
+// The same generator drives ExecuteSharded with a one-byte shard floor, so
+// the small fuzzed documents really split. Both sharded paths — shard-local
+// evaluation behind the classifier, and merge-and-replay over the spliced
+// shard logs — must reproduce every query's solo output byte-for-byte.
+
+TEST(FuzzShardedTest, ShardedExecutionMatchesSoloRuns) {
+  uint64_t runs = 0;
+  uint64_t runs_sharded = 0;
+  uint64_t local_queries = 0;
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    QueryFuzzer fuzzer(seed * 104729 + 31);
+    const size_t batch_size = 1 + seed % 4;  // 1..4 queries
+    std::vector<std::string> queries;
+    for (size_t i = 0; i < batch_size; ++i) queries.push_back(fuzzer.Generate());
+    std::string doc = RandomDocument(seed * 613 + 5);
+    if (std::getenv("GCX_FUZZ_VERBOSE") != nullptr) {
+      for (const std::string& q : queries) std::cerr << "QUERY: " << q << "\n";
+      std::cerr << "DOC: " << doc << "\n";
+    }
+
+    for (int mask : {0, 15}) {
+      std::vector<CompiledQuery> compiled;
+      compiled.reserve(queries.size());
+      for (const std::string& q : queries) {
+        auto one = CompiledQuery::Compile(q, MaskOptions(mask));
+        ASSERT_TRUE(one.ok()) << one.status().ToString() << "\n" << q;
+        compiled.push_back(std::move(one).value());
+      }
+      Engine solo;
+      std::vector<std::string> solo_outputs;
+      for (const CompiledQuery& query : compiled) {
+        std::ostringstream out;
+        auto stats = solo.Execute(query, doc, &out);
+        ASSERT_TRUE(stats.ok()) << stats.status().ToString() << "\n" << doc;
+        solo_outputs.push_back(out.str());
+      }
+      std::vector<const CompiledQuery*> batch;
+      for (const CompiledQuery& query : compiled) batch.push_back(&query);
+
+      for (size_t shards : {size_t{2}, size_t{4}}) {
+        for (bool local_eval : {true, false}) {
+          ShardOptions options;
+          options.shards = shards;
+          options.min_shard_bytes = 1;
+          options.local_eval = local_eval;
+          std::vector<std::ostringstream> buffers(compiled.size());
+          std::vector<std::ostream*> outs;
+          for (std::ostringstream& buffer : buffers) outs.push_back(&buffer);
+          MultiQueryEngine engine;
+          auto stats = engine.ExecuteSharded(batch, doc, outs, options);
+          ASSERT_TRUE(stats.ok()) << stats.status().ToString() << "\n" << doc;
+          ++runs;
+          if (stats->shared.shards > 0) ++runs_sharded;
+          local_queries += stats->shared.shard_local_queries;
+          for (size_t i = 0; i < compiled.size(); ++i) {
+            ASSERT_EQ(buffers[i].str(), solo_outputs[i])
+                << "seed=" << seed << " mask=" << mask << " shards=" << shards
+                << " local_eval=" << local_eval << "\nquery: " << queries[i]
+                << "\ndoc: " << doc;
+          }
+        }
+      }
+    }
+  }
+  // Non-vacuity: the fuzzed documents really shard, and the classifier
+  // really sends some queries to the workers.
+  EXPECT_GT(runs_sharded, runs / 2) << runs_sharded << " of " << runs;
+  EXPECT_GT(local_queries, 0u);
+}
 
 }  // namespace
 }  // namespace gcx

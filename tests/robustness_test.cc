@@ -564,5 +564,52 @@ TEST(ShardParity, GenerousBudgetShardedOutputMatchesUnbudgeted) {
   EXPECT_EQ(out.str(), ref.str());
 }
 
+TEST(ShardParity, BackToBackGovernedShardedRunsStaySharded) {
+  // Shard logs charge the governor's replay and arena ledgers. The charges
+  // must be released when the batch ends: a leak would start the next run
+  // on the same governor over budget, and it would quietly fall back to
+  // the serial scan.
+  std::string doc = "<a>";
+  for (int i = 0; i < 2000; ++i) {
+    doc += "<b><c>payload-" + std::to_string(i) + "</c></b>";
+  }
+  doc += "</a>";
+  // $root inside the loop body: the classifier keeps it merge-and-replay.
+  auto compiled = CompiledQuery::Compile(
+      "<r>{ for $x in /a/b return <o>{ count(/a/b) }</o> }</r>", {});
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ShardOptions options;
+  options.shards = 4;
+  options.min_shard_bytes = 1;
+
+  std::ostringstream ref;
+  uint64_t one_run_peak = 0;
+  {
+    MultiQueryEngine engine;
+    auto stats = engine.ExecuteSharded({&*compiled}, doc, {&ref}, options);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_EQ(stats->shared.shards, 4u);
+    ASSERT_EQ(stats->shared.shard_local_queries, 0u);
+    one_run_peak = stats->shared.replay_log_peak;
+  }
+  RunBudget budget;
+  budget.max_replay_log_events = one_run_peak * 3 / 2;
+  RunGovernor governor(budget);
+  MultiQueryEngine engine;
+  engine.set_governor(&governor);
+  MetricsCounter* fallbacks = MetricsRegistry::Global().Counter(
+      "robustness.serial_fallbacks_total");
+  const uint64_t fallbacks_before = fallbacks->value();
+  for (int run = 0; run < 3; ++run) {
+    std::ostringstream out;
+    auto stats = engine.ExecuteSharded({&*compiled}, doc, {&out}, options);
+    ASSERT_TRUE(stats.ok()) << "run " << run << ": "
+                            << stats.status().ToString();
+    EXPECT_EQ(stats->shared.shards, 4u) << "run " << run;
+    EXPECT_EQ(out.str(), ref.str()) << "run " << run;
+  }
+  EXPECT_EQ(fallbacks->value(), fallbacks_before);
+}
+
 }  // namespace
 }  // namespace gcx

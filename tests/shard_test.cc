@@ -223,15 +223,37 @@ void ExpectShardedMatchesUnsharded(const std::string& doc,
 
     EXPECT_EQ(sharded.str(), plain.str())
         << config.name << ": sharded output diverges";
+
+    // Merge-and-replay for every query: the spliced log replays through the
+    // unsharded pipeline, so each query's buffer peak is the plain run's.
+    ShardOptions replay_only = shard_options;
+    replay_only.local_eval = false;
+    std::ostringstream replayed;
+    auto replay_stats =
+        engine.ExecuteSharded({&*compiled}, doc, {&replayed}, replay_only);
+    ASSERT_TRUE(replay_stats.ok()) << replay_stats.status().ToString();
+    EXPECT_EQ(replayed.str(), plain.str())
+        << config.name << ": merge-and-replay output diverges";
+
     if (expect_sharded) {
-      EXPECT_GT(sharded_stats->shared.shards, 0u)
-          << config.name << ": planner unexpectedly declined";
-      EXPECT_EQ(sharded_stats->shared.bytes_scanned, doc.size());
-      EXPECT_EQ(sharded_stats->shared.scan_passes, 1u);
-      // The merged stream carries the same surviving events the single
-      // shared scan forwards.
-      EXPECT_EQ(sharded_stats->shared.events_forwarded,
-                plain_stats->shared.events_forwarded);
+      for (const MultiQueryStats* stats : {&*sharded_stats, &*replay_stats}) {
+        const SharedScanStats& shared = stats->shared;
+        EXPECT_GT(shared.shards, 0u)
+            << config.name << ": planner unexpectedly declined";
+        EXPECT_EQ(shared.bytes_scanned, doc.size());
+        EXPECT_EQ(shared.scan_passes, 1u);
+        // The spliced log carries the same surviving events the single
+        // shared scan forwards, and the wrappers count nowhere.
+        EXPECT_EQ(shared.events_forwarded,
+                  plain_stats->shared.events_forwarded);
+        EXPECT_EQ(shared.events_scanned, plain_stats->shared.events_scanned);
+        EXPECT_EQ(shared.events_scanned,
+                  shared.events_forwarded + shared.events_shared_skipped)
+            << config.name;
+      }
+      EXPECT_EQ(replay_stats->per_query[0].peak_bytes,
+                plain_stats->per_query[0].peak_bytes)
+          << config.name;
     }
   }
 }
