@@ -13,15 +13,6 @@ namespace gcx {
 
 namespace {
 
-/// True if `path` is exactly the single step dos::node() (a whole-subtree
-/// dependency).
-bool IsWholeSubtreeDep(const RelativePath& path) {
-  return path.steps.size() == 1 &&
-         path.steps[0].axis == Axis::kDescendantOrSelf &&
-         path.steps[0].test.kind == NodeTestKind::kAnyNode &&
-         path.steps[0].predicate == StepPredicate::kNone;
-}
-
 /// Rule (b) of redundant-role elimination: `expr` is existential-positive
 /// in `var` — every output is a path output rooted at `var`, possibly
 /// through nested for-loops whose sources are rooted at `var` (then the
@@ -51,6 +42,13 @@ bool ExistentialPositive(const Expr& expr, VarId var) {
 }
 
 }  // namespace
+
+bool IsWholeSubtreeDep(const RelativePath& path) {
+  return path.steps.size() == 1 &&
+         path.steps[0].axis == Axis::kDescendantOrSelf &&
+         path.steps[0].test.kind == NodeTestKind::kAnyNode &&
+         path.steps[0].predicate == StepPredicate::kNone;
+}
 
 void EliminateRedundantRoles(const VariableTree& vars, RoleCatalog* catalog) {
   for (VarId v : vars.AllVars()) {
@@ -233,6 +231,7 @@ Result<AnalyzedQuery> Analyze(Query normalized, const AnalysisOptions& options) 
   }
   out.projection = DeriveProjectionTree(out.vars, out.roles);
   InsertSignOffs(&out.query, out.vars, out.roles);
+  out.join_plans = PlanJoins(out.query, out.vars, out.roles);
   return out;
 }
 
@@ -247,6 +246,10 @@ std::string AnalyzedQuery::Explain() const {
   out += "== rewritten query ==\n";
   out += PrintQuery(query);
   out += "\n";
+  if (!join_plans.empty()) {
+    out += "== join plans ==\n";
+    out += JoinPlansToString(join_plans, query.var_names);
+  }
   return out;
 }
 

@@ -6,6 +6,7 @@
 //   3. Aggregate-role marking (Sec. 6), optional.
 //   4. Derive the projection tree (Sec. 4).
 //   5. Insert signOff-statements via algorithm suQ (Fig. 8).
+//   6. Plan hash-indexed value joins (analysis/join_plan.h).
 //
 // Theorem 1 (correctness) is exercised end-to-end by the differential test
 // suite: evaluating the rewritten query on the projected document equals
@@ -15,7 +16,9 @@
 #define GCX_ANALYSIS_ANALYZER_H_
 
 #include <string>
+#include <vector>
 
+#include "analysis/join_plan.h"
 #include "analysis/projection_tree.h"
 #include "analysis/roles.h"
 #include "analysis/variable_tree.h"
@@ -36,9 +39,13 @@ struct AnalyzedQuery {
   RoleCatalog roles;
   VariableTree vars;
   ProjectionTree projection;
+  /// Side table of value-join plans over `query`, keyed by the planned
+  /// for's Expr*. Empty for most queries; the evaluator then pays one
+  /// empty() test per for-loop.
+  std::vector<JoinPlan> join_plans;
 
   /// Multi-section human-readable dump (variable tree, roles, projection
-  /// tree, rewritten query).
+  /// tree, rewritten query, and join plans when there are any).
   std::string Explain() const;
 };
 
@@ -47,6 +54,10 @@ Result<AnalyzedQuery> Analyze(Query normalized,
                               const AnalysisOptions& options = {});
 
 // Exposed pieces (unit-tested separately):
+
+/// True if `path` is exactly the single step dos::node() (a whole-subtree
+/// dependency).
+bool IsWholeSubtreeDep(const RelativePath& path);
 
 /// Sec. 6 redundant-role elimination. Marks binding roles as eliminated when
 /// (a) the variable has a whole-subtree dependency 〈dos::node(), r〉 which

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,11 +34,22 @@ bool IsAllWhitespace(std::string_view text) {
 std::optional<double> ParseNumber(std::string_view text) {
   std::string_view trimmed = TrimWhitespace(text);
   if (trimmed.empty()) return std::nullopt;
-  std::string owned(trimmed);
-  const char* begin = owned.c_str();
+  // strtod needs a NUL-terminated copy; short values (every number a
+  // document realistically holds) are copied to the stack.
+  char stack[64];
+  std::string heap;
+  const char* begin;
+  if (trimmed.size() < sizeof(stack)) {
+    std::memcpy(stack, trimmed.data(), trimmed.size());
+    stack[trimmed.size()] = '\0';
+    begin = stack;
+  } else {
+    heap.assign(trimmed);
+    begin = heap.c_str();
+  }
   char* end = nullptr;
   double value = std::strtod(begin, &end);
-  if (end != begin + owned.size()) return std::nullopt;
+  if (end != begin + trimmed.size()) return std::nullopt;
   return value;
 }
 

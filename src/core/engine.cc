@@ -121,8 +121,9 @@ Result<ExecStats> Engine::ExecuteStreaming(const CompiledQuery& query,
     GCX_RETURN_IF_ERROR(governor_->CheckAll(/*force_clock=*/true));
   }
 
-  ExecStats stats = MakeExecStats(start, writer.bytes_written(), &ctx.buffer(),
-                                  &ctx.projector(), &ctx.scanner());
+  ExecStats stats =
+      MakeExecStats(start, writer.bytes_written(), &ctx.buffer(),
+                    &ctx.projector(), &ctx.scanner(), &evaluator.stats());
   PublishExecStats(stats, GlobalMetrics(), query.canonical_text());
 
   if (eval_options.execute_signoffs) {

@@ -88,6 +88,16 @@ struct ExecStats {
   // virtual root (buffer_nodes_final == 1). Streaming modes only.
   uint64_t live_roles_final = 0;
   uint64_t buffer_nodes_final = 0;
+  /// if-conditions the evaluator ran (a join pass answered from its index
+  /// runs none).
+  uint64_t conditions_evaluated = 0;
+  // Hash-indexed value joins (analysis/join_plan.h): binding tuples
+  // indexed, chain executions answered from an index, and the indexes'
+  // estimated peak heap bytes — reported beside peak_bytes, not in it,
+  // because the paper's memory figure counts buffered nodes.
+  uint64_t join_index_rows = 0;
+  uint64_t join_probes = 0;
+  uint64_t join_index_peak_bytes = 0;
 };
 
 /// One named engine configuration of the paper's Table 1 column set.

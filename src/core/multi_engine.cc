@@ -585,7 +585,8 @@ Result<ExecStats> EvaluateOne(const AnalyzedQuery& analyzed,
 
   // No scanner: the batch's one pass is accounted in MultiQueryStats::shared.
   ExecStats stats = MakeExecStats(start, writer.bytes_written(), &ctx.buffer(),
-                                  &ctx.projector());
+                                  &ctx.projector(), /*scanner=*/nullptr,
+                                  &evaluator.stats());
   if (eval_options.execute_signoffs) {
     // Paper requirement (2), per batched query: every assigned role was
     // removed again.

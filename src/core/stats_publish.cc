@@ -71,7 +71,7 @@ bool AdmitQuerySlug(const std::string& slug) {
 ExecStats MakeExecStats(std::chrono::steady_clock::time_point start,
                         uint64_t output_bytes, const BufferTree* buffer,
                         StreamProjector* projector,
-                        const XmlScanner* scanner) {
+                        const XmlScanner* scanner, const EvalStats* eval) {
   ExecStats stats;
   if (buffer != nullptr) {
     stats.buffer = buffer->stats();
@@ -88,6 +88,12 @@ ExecStats MakeExecStats(std::chrono::steady_clock::time_point start,
     stats.scan_passes = 1;
     stats.input_bytes = scanner->bytes_consumed();
     stats.stalls = scanner->stalls();
+  }
+  if (eval != nullptr) {
+    stats.conditions_evaluated = eval->conditions;
+    stats.join_index_rows = eval->join_index_rows;
+    stats.join_probes = eval->join_probes;
+    stats.join_index_peak_bytes = eval->join_index_peak_bytes;
   }
   stats.output_bytes = output_bytes;
   stats.wall_seconds =
@@ -146,6 +152,12 @@ void PublishExecStats(const ExecStats& stats, const MetricsSink& sink,
   buffer.Max("bytes_peak", stats.buffer.bytes_peak);
   sink.Sub("arena").Max("text_peak_bytes",
                         stats.buffer.text_arena_peak_bytes);
+
+  sink.Sub("eval").Add("conditions_total", stats.conditions_evaluated);
+  MetricsSink join = sink.Sub("join");
+  join.Add("index_rows_total", stats.join_index_rows);
+  join.Add("probes_total", stats.join_probes);
+  join.Max("index_peak_bytes", stats.join_index_peak_bytes);
 }
 
 void PublishMultiQueryStats(const MultiQueryStats& stats,

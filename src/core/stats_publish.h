@@ -15,6 +15,8 @@
 //                rows inside a batch never double-count the one shared scan
 //   projector.*  merged view of every projector that ran
 //   buffer.*     buffer-tree counters and peaks, arena.text_peak_bytes
+//   eval.*       evaluator counters (conditions evaluated)
+//   join.*       hash-indexed value joins (rows indexed, probes, index peak)
 //   batch.*      shared-scan counters of batched runs (forwarded, demuxed,
 //                replay log/arena peaks, merged-DFA size)
 //   shard.*      sharded-execution counters (local vs replay queries,
@@ -29,6 +31,7 @@
 #include "common/metrics.h"
 #include "core/engine.h"
 #include "core/multi_engine.h"
+#include "eval/evaluator.h"
 
 namespace gcx {
 
@@ -37,12 +40,13 @@ namespace gcx {
 /// evaluation, whose caller sets peak_bytes to the DOM size). `scanner` is a
 /// private input pass (null inside a batch, whose one shared pass is
 /// accounted in MultiQueryStats::shared): it sets scan_passes = 1,
-/// input_bytes and stalls.
+/// input_bytes and stalls. `eval` is the streaming evaluator's counters.
 ExecStats MakeExecStats(std::chrono::steady_clock::time_point start,
                         uint64_t output_bytes,
                         const BufferTree* buffer = nullptr,
                         StreamProjector* projector = nullptr,
-                        const XmlScanner* scanner = nullptr);
+                        const XmlScanner* scanner = nullptr,
+                        const EvalStats* eval = nullptr);
 
 /// Publishes one evaluation's ExecStats under `sink` (typically
 /// GlobalMetrics()). Solo runs carry scan_passes > 0 and contribute to

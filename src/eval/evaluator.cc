@@ -5,22 +5,41 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace gcx {
 
-bool CompareValues(const std::string& lhs, RelOp op, const std::string& rhs) {
-  auto ln = ParseNumber(lhs);
-  auto rn = ParseNumber(rhs);
-  int cmp;
+namespace {
+
+/// `lhs op rhs` given each side's ParseNumber result: numeric when both
+/// parse (IEEE: NaN satisfies only `!=`), else bytewise.
+bool CompareParsed(std::string_view lhs, const std::optional<double>& ln,
+                   RelOp op, std::string_view rhs,
+                   const std::optional<double>& rn) {
   if (ln.has_value() && rn.has_value()) {
-    cmp = *ln < *rn ? -1 : (*ln > *rn ? 1 : 0);
-  } else {
-    cmp = lhs.compare(rhs);
-    cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
+    double l = *ln;
+    double r = *rn;
+    switch (op) {
+      case RelOp::kEq:
+        return l == r;
+      case RelOp::kNe:
+        return l != r;
+      case RelOp::kLt:
+        return l < r;
+      case RelOp::kLe:
+        return l <= r;
+      case RelOp::kGt:
+        return l > r;
+      case RelOp::kGe:
+        return l >= r;
+    }
+    return false;
   }
+  int cmp = lhs.compare(rhs);
   switch (op) {
     case RelOp::kEq:
       return cmp == 0;
@@ -38,11 +57,18 @@ bool CompareValues(const std::string& lhs, RelOp op, const std::string& rhs) {
   return false;
 }
 
+}  // namespace
+
+bool CompareValues(const std::string& lhs, RelOp op, const std::string& rhs) {
+  return CompareParsed(lhs, ParseNumber(lhs), op, rhs, ParseNumber(rhs));
+}
+
 Evaluator::Evaluator(const AnalyzedQuery* query, ExecContext* ctx,
                      XmlWriter* writer, EvalOptions options)
     : query_(query), ctx_(ctx), writer_(writer), options_(options) {
   env_.assign(query_->query.var_names.size(), nullptr);
   env_[kRootVar] = ctx_->buffer().root();
+  joins_.resize(query_->join_plans.size());
 }
 
 Status Evaluator::Run() { return EvalExpr(*query_->query.body); }
@@ -75,6 +101,7 @@ Status Evaluator::EvalExpr(const Expr& expr) {
     case ExprKind::kFor:
       return EvalFor(expr);
     case ExprKind::kIf: {
+      ++stats_.conditions;
       GCX_ASSIGN_OR_RETURN(bool truth, EvalCond(*expr.cond));
       return EvalExpr(truth ? *expr.then_branch : *expr.else_branch);
     }
@@ -152,17 +179,8 @@ Result<uint64_t> Evaluator::CountMatches(BufferNode* base,
 }
 
 Status Evaluator::EvalFor(const Expr& expr) {
-  BufferNode* scope = env_[static_cast<size_t>(expr.var)];
-  GCX_CHECK(scope != nullptr && expr.path.steps.size() == 1);
-  StepCursor cursor(ctx_, scope, expr.path.steps[0]);
-  while (true) {
-    GCX_ASSIGN_OR_RETURN(BufferNode* node, cursor.Next());
-    if (node == nullptr) break;
-    env_[static_cast<size_t>(expr.loop_var)] = node;
-    GCX_RETURN_IF_ERROR(EvalExpr(*expr.body));
-  }
-  env_[static_cast<size_t>(expr.loop_var)] = nullptr;
-  return Status::Ok();
+  if (!query_->join_plans.empty()) return EvalPlannedFor(expr);
+  return ForEachBinding(expr, [&] { return EvalExpr(*expr.body); });
 }
 
 Status Evaluator::EvalSignOff(const Expr& expr) {
@@ -322,6 +340,20 @@ Status Evaluator::PathValues(VarId var, const RelativePath& path,
   return Status::Ok();
 }
 
+bool Evaluator::AnyComparison(const std::vector<std::string>& lhs, RelOp op,
+                              const std::vector<std::string>& rhs) {
+  if (lhs.empty() || rhs.empty()) return false;
+  rhs_numbers_.clear();
+  for (const std::string& r : rhs) rhs_numbers_.push_back(ParseNumber(r));
+  for (const std::string& l : lhs) {
+    std::optional<double> ln = ParseNumber(l);
+    for (size_t j = 0; j < rhs.size(); ++j) {
+      if (CompareParsed(l, ln, op, rhs[j], rhs_numbers_[j])) return true;
+    }
+  }
+  return false;
+}
+
 Result<bool> Evaluator::EvalCond(const Cond& cond) {
   switch (cond.kind) {
     case CondKind::kTrue:
@@ -345,12 +377,7 @@ Result<bool> Evaluator::EvalCond(const Cond& cond) {
       } else {
         GCX_RETURN_IF_ERROR(OperandValues(cond.rhs, &rhs));
       }
-      for (const std::string& l : lhs) {
-        for (const std::string& r : rhs) {
-          if (CompareValues(l, cond.op, r)) return true;
-        }
-      }
-      return false;
+      return AnyComparison(lhs, cond.op, rhs);
     }
     case CondKind::kAnd: {
       GCX_ASSIGN_OR_RETURN(bool left, EvalCond(*cond.left));

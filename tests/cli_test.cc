@@ -11,6 +11,8 @@
 #include <iterator>
 #include <string>
 
+#include "xmark/queries.h"
+
 namespace gcx {
 namespace {
 
@@ -96,6 +98,30 @@ TEST_F(CliTest, ExplainPrintsAnalysis) {
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("projection tree"), std::string::npos);
   EXPECT_NE(r.output.find("signOff"), std::string::npos);
+}
+
+// XMark Q8 is the one benchmark query with a value join; the explain dump
+// names its hash-join plan, and no other XMark query gets one.
+TEST_F(CliTest, ExplainShowsTheJoinPlanForXMarkQ8Only) {
+  std::string dir = ::testing::TempDir();
+  for (const NamedQuery& q : AllXMarkQueries()) {
+    std::string path = dir + "/xmark_" + q.name + ".xq";
+    {
+      std::ofstream file(path);
+      file << q.text;
+    }
+    RunResult r = Shell(BinaryPath() + " --explain " + path);
+    EXPECT_EQ(r.exit_code, 0) << q.name;
+    EXPECT_NE(r.output.find("== rewritten query =="), std::string::npos);
+    bool q8 = std::string(q.name) == "Q8";
+    EXPECT_EQ(r.output.find("== join plans ==") != std::string::npos, q8)
+        << q.name << "\n" << r.output;
+    if (q8) {
+      EXPECT_NE(r.output.find("hash join $t/buyer/person = $p/id"),
+                std::string::npos)
+          << r.output;
+    }
+  }
 }
 
 TEST_F(CliTest, ProjectOnlyEmitsProjectedDocument) {

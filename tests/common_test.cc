@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -381,6 +382,42 @@ TEST(Strings, ParseNumberRejects) {
   EXPECT_FALSE(ParseNumber("12abc").has_value());
   EXPECT_FALSE(ParseNumber("1 2").has_value());
   EXPECT_FALSE(ParseNumber("person0").has_value());
+}
+
+// ParseNumber keeps strtod's exact acceptance set; these spellings are the
+// ones value joins key on (hex, padding, infinities, NaN, signed zero).
+TEST(Strings, ParseNumberStrtodSpellings) {
+  EXPECT_DOUBLE_EQ(*ParseNumber("0x10"), 16.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber(" 1 "), 1.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber("\t1\n"), 1.0);
+  ASSERT_TRUE(ParseNumber("inf").has_value());
+  ASSERT_TRUE(ParseNumber("Infinity").has_value());
+  EXPECT_TRUE(std::isinf(*ParseNumber("inf")));
+  EXPECT_EQ(*ParseNumber("inf"), *ParseNumber("Infinity"));
+  EXPECT_EQ(*ParseNumber("-inf"), -std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(ParseNumber("nan").has_value());
+  EXPECT_TRUE(std::isnan(*ParseNumber("nan")));
+  ASSERT_TRUE(ParseNumber("-0").has_value());
+  EXPECT_EQ(*ParseNumber("-0"), 0.0);
+  EXPECT_TRUE(std::signbit(*ParseNumber("-0")));
+  EXPECT_FALSE(ParseNumber("0x").has_value());  // strtod stops after "0"
+  EXPECT_FALSE(ParseNumber(std::string_view("1\0", 2)).has_value());
+}
+
+TEST(Strings, ParseNumberLongTextTakesTheHeapPath) {
+  // 100 characters: past the 63-byte stack copy.
+  std::string digits = "1" + std::string(98, '0') + "7";
+  ASSERT_EQ(digits.size(), 100u);
+  ASSERT_TRUE(ParseNumber(digits).has_value());
+  EXPECT_DOUBLE_EQ(*ParseNumber(digits), 1e99);
+  EXPECT_DOUBLE_EQ(*ParseNumber("  " + digits + "  "), 1e99);
+  std::string fraction = "0." + std::string(97, '0') + "5";
+  ASSERT_EQ(fraction.size(), 100u);
+  EXPECT_DOUBLE_EQ(*ParseNumber(fraction), 5e-98);
+  EXPECT_FALSE(ParseNumber(digits + "x").has_value());
+  // Exactly 63 and 64 characters straddle the stack/heap boundary.
+  EXPECT_DOUBLE_EQ(*ParseNumber(std::string(63, '1')), std::stod(std::string(63, '1')));
+  EXPECT_DOUBLE_EQ(*ParseNumber(std::string(64, '1')), std::stod(std::string(64, '1')));
 }
 
 TEST(Strings, Join) {

@@ -763,5 +763,29 @@ TEST(ConformanceCorpus, HasAggregateEdgeCases) {
   EXPECT_GE(nonnumeric, 2u) << "non-numeric sum cases must stay";
 }
 
+// The join_* family runs the evaluator's hash-join path (analysis/
+// join_plan.h) through every sweep above; it only does so while the cases
+// are actually planned. join_unplanned_* pin the shapes that must keep the
+// nested loop.
+TEST(ConformanceCorpus, JoinCasesArePlannedUnlessNamedUnplanned) {
+  size_t planned = 0;
+  size_t unplanned = 0;
+  for (const Case& c : LoadCorpus()) {
+    if (c.name.rfind("join_", 0) != 0) continue;
+    auto compiled = CompiledQuery::Compile(c.query, {});
+    ASSERT_TRUE(compiled.ok()) << c.name;
+    const size_t plans = compiled->analyzed().join_plans.size();
+    if (c.name.rfind("join_unplanned_", 0) == 0) {
+      EXPECT_EQ(plans, 0u) << c.name;
+      ++unplanned;
+    } else {
+      EXPECT_EQ(plans, 1u) << c.name;
+      ++planned;
+    }
+  }
+  EXPECT_GE(planned, 10u);
+  EXPECT_GE(unplanned, 2u);
+}
+
 }  // namespace
 }  // namespace gcx

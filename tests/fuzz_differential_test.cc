@@ -89,7 +89,7 @@ class QueryFuzzer {
   }
 
   std::string ExprInner() {
-    uint64_t pick = rng_.Below(depth_ > 3 ? 4u : 10u);
+    uint64_t pick = rng_.Below(depth_ > 3 ? 4u : 11u);
     switch (pick) {
       case 0:
         return "()";
@@ -121,10 +121,36 @@ class QueryFuzzer {
       case 7: {  // constructor with content
         return "<w>{ " + Expr() + " }</w>";
       }
+      case 8:
+        return Join();
       default: {  // sequence
         return "(" + Expr() + ", " + Expr() + ")";
       }
     }
+  }
+
+  /// A value join between two bound variables: an outer loop, and inside
+  /// it a loop over a source bound outside the outer one, filtered by
+  /// `if ($inner/path = $outer/path)` — the shape the join planner
+  /// indexes (analysis/join_plan.h) when the rest of the query allows it.
+  std::string Join() {
+    std::string inner_source = VarPath(2);  // bound outside the outer loop
+    std::string outer = "$v" + std::to_string(vars_.size());
+    std::string outer_source = VarPath(2);
+    vars_.push_back(outer);
+    std::string inner = "$v" + std::to_string(vars_.size());
+    vars_.push_back(inner);
+    std::string key = inner + "/" + Path(1);
+    std::string probe = outer + "/" + Path(1);
+    std::string cond = rng_.Chance(500) ? key + " = " + probe
+                                        : probe + " = " + key;
+    std::string then_branch =
+        rng_.Chance(500) ? inner + "/" + Path(2) : Expr();
+    vars_.pop_back();
+    vars_.pop_back();
+    return "for " + outer + " in " + outer_source + " return for " + inner +
+           " in " + inner_source + " return if (" + cond + ") then " +
+           then_branch + " else ()";
   }
 
   Prng rng_;
@@ -141,7 +167,17 @@ std::string RandomDocument(uint64_t seed) {
     out += "<";
     out += tag;
     out += ">";
-    if (rng.Chance(350)) out += std::to_string(rng.Below(20));
+    if (rng.Chance(350)) {
+      // Numeric spellings that compare equal, or never equal (NaN), under
+      // the `=` rule, next to plain integers for the ordering operators.
+      static const char* spellings[] = {"1",   "1.0", "01",  " 1 ", "0x1",
+                                        "-0",  "0",   "nan", "inf", "Infinity"};
+      if (rng.Chance(500)) {
+        out += std::to_string(rng.Below(20));
+      } else {
+        out += spellings[rng.Below(10)];
+      }
+    }
     if (rng.Chance(200)) {
       out += "w";
       out += static_cast<char>('a' + rng.Below(4));
@@ -212,6 +248,29 @@ TEST_P(FuzzDifferentialTest, RandomQueriesMatchOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferentialTest,
                          ::testing::Range<uint64_t>(0, 30));
+
+// Non-vacuity for the join path: the seeds above generate queries the join
+// planner indexes, so the hash join is checked against the oracle.
+TEST(FuzzJoinCoverage, GeneratedQueriesReachThePlannedJoin) {
+  size_t planned = 0;
+  uint64_t probes = 0;
+  for (uint64_t seed = 0; seed < 30; ++seed) {
+    QueryFuzzer fuzzer(seed);
+    for (int round = 0; round < 8; ++round) {
+      auto compiled = CompiledQuery::Compile(fuzzer.Generate(), {});
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      if (compiled->analyzed().join_plans.empty()) continue;
+      ++planned;
+      std::ostringstream out;
+      auto stats =
+          Engine().Execute(*compiled, RandomDocument(seed * 131 + round), &out);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      probes += stats->join_probes;
+    }
+  }
+  EXPECT_GE(planned, 10u);
+  EXPECT_GT(probes, 0u);  // some outer loop really ran a second time
+}
 
 // --- batched vs solo multi-query execution ----------------------------------
 //

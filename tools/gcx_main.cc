@@ -747,7 +747,9 @@ int main(int argc, char** argv) {
                   << (q.projector.elements_kept + q.projector.text_kept)
                   << " kept / "
                   << (q.projector.elements_skipped + q.projector.text_skipped)
-                  << " skipped, wall " << q.wall_seconds << " s\n";
+                  << " skipped, conditions " << q.conditions_evaluated
+                  << ", join probes " << q.join_probes << ", wall "
+                  << q.wall_seconds << " s\n";
       }
     }
     print_cache_stats();
@@ -797,7 +799,11 @@ int main(int argc, char** argv) {
               << "text arena peak:   " << stats->buffer.text_arena_peak_bytes
               << " bytes\n"
               << "scanner stalls:    " << stats->stalls << "\n"
-              << "DFA states:        " << stats->dfa_states << "\n";
+              << "DFA states:        " << stats->dfa_states << "\n"
+              << "conditions:        " << stats->conditions_evaluated << "\n"
+              << "join index rows:   " << stats->join_index_rows << " ("
+              << stats->join_probes << " probes, "
+              << stats->join_index_peak_bytes << " index peak bytes)\n";
   }
   print_cache_stats();
   if (!dump_metrics()) return 1;
