@@ -1,5 +1,6 @@
-// Micro-benchmarks of the substrates: scanner throughput, DFA transition
-// cost, buffer role/GC operations. Backs the paper's claim that "the
+// Micro-benchmarks of the substrates: DOM parsing, projection, DFA
+// transition cost, buffer role/GC operations (scanner throughput is
+// bench_gcx's L0 scan rung). Backs the paper's claim that "the
 // overhead imposed by the buffer cleanup algorithm is small in practice"
 // (Sec. 5).
 
@@ -28,23 +29,6 @@ const std::string& Doc() {
       new std::string(GenerateXMark(XMarkOptions{2 * BenchScale(), 42}));
   return *doc;
 }
-
-void BM_ScannerThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    XmlScanner scanner(std::make_unique<StringSource>(Doc()));
-    XmlEvent event;
-    uint64_t count = 0;
-    do {
-      Status status = scanner.Next(&event);
-      GCX_CHECK(status.ok());
-      ++count;
-    } while (event.kind != XmlEvent::Kind::kEndOfDocument);
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations() * Doc().size()));
-}
-BENCHMARK(BM_ScannerThroughput)->Unit(benchmark::kMillisecond);
 
 void BM_DomParse(benchmark::State& state) {
   for (auto _ : state) {

@@ -66,12 +66,7 @@ AdmissionController::AdmissionController(QueryCache* cache,
     : cache_(cache), limits_(limits) {
   GCX_CHECK(cache_ != nullptr);
   GCX_CHECK(limits_.max_batch_queries >= 1);
-  if (limits_.adaptive) {
-    GCX_CHECK(limits_.adaptive_hysteresis >= 1);
-    limits_.adaptive_min_batch_queries =
-        std::max<size_t>(1, std::min(limits_.adaptive_min_batch_queries,
-                                     limits_.max_batch_queries));
-  }
+  if (limits_.adaptive) GCX_CHECK(limits_.adaptive_hysteresis >= 1);
   adaptive_batch_cap_ = limits_.max_batch_queries;
   adaptive_shards_ = limits_.shards;
   if (limits_.adaptive) {
@@ -219,9 +214,8 @@ size_t AdmissionController::EffectiveShards() const {
 
 void AdmissionController::AdaptAfterRun(const AdmissionRunStats& run) {
   if (!limits_.adaptive || run.batches == 0) return;
-  bool stall_pressure =
-      static_cast<double>(run.stalls) >=
-      limits_.adaptive_stall_threshold * static_cast<double>(run.batches);
+  // Stall pressure: at least one parked batch per two executed batches.
+  bool stall_pressure = 2 * run.stalls >= run.batches;
   bool memory_pressure =
       limits_.adaptive_arena_budget_bytes > 0 &&
       run.replay_arena_peak_bytes > limits_.adaptive_arena_budget_bytes;
@@ -231,8 +225,7 @@ void AdmissionController::AdaptAfterRun(const AdmissionRunStats& run) {
     ++pressured_runs_;
     // Multiplicative decrease on the batch cap: smaller batches park fewer
     // queries behind one stalled source and retain a smaller replay log.
-    size_t next =
-        std::max(limits_.adaptive_min_batch_queries, adaptive_batch_cap_ / 2);
+    size_t next = std::max<size_t>(1, adaptive_batch_cap_ / 2);
     if (next < adaptive_batch_cap_) {
       adaptive_batch_cap_ = next;
       if (memory_pressure) {
@@ -354,7 +347,6 @@ Status AdmissionController::StartNextBatch(GroupWork* work,
     // resource trips of the parallel scan on the serial path.
     ShardOptions shard_options;
     shard_options.shards = EffectiveShards();
-    shard_options.threads = limits_.shard_threads;
     MultiQueryEngine engine;
     engine.set_governor(work->governor.get());
     Result<MultiQueryStats> sharded =

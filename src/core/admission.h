@@ -74,14 +74,12 @@ struct AdmissionLimits {
   /// Replay-log budget in buffered events (0 = unlimited). Enforced through
   /// the adaptive per-query estimate described above.
   uint64_t max_replay_log_events = 0;
-  /// Parallel scan shards (core/shard.h) for batches whose document was
-  /// registered as in-memory content (RegisterDocument(string)); <= 1
-  /// disables. Opener/async documents always use the single scan — their
-  /// bytes are not stored, and sharding needs the whole document.
+  /// Parallel scan shards (core/shard.h; one worker thread each, capped at
+  /// hardware concurrency) for batches whose document was registered as
+  /// in-memory content (RegisterDocument(string)); <= 1 disables.
+  /// Opener/async documents always use the single scan — their bytes are
+  /// not stored, and sharding needs the whole document.
   size_t shards = 1;
-  /// Worker threads for the sharded scan (0 = one per shard, capped at
-  /// hardware concurrency).
-  size_t shard_threads = 0;
   /// Release every document a successful Run() executed batches for —
   /// opener AND retained in-memory content — so long-lived controllers do
   /// not accumulate document bytes across register/run cycles. Off
@@ -95,10 +93,9 @@ struct AdmissionLimits {
   // run will use. Batch formation changes only; each query's output is
   // byte-identical regardless of how the stream was cut into batches.
   //
-  //   * Stall pressure — parked batches per executed batch at or above
-  //     `adaptive_stall_threshold` — halves the effective cap (multiplic-
-  //     ative decrease: fewer queries pinned behind one stalled source),
-  //     bounded below by adaptive_min_batch_queries.
+  //   * Stall pressure — at least one parked batch per two executed
+  //     batches — halves the effective cap (multiplicative decrease: fewer
+  //     queries pinned behind one stalled source), bounded below by 1.
   //   * Memory pressure — the run's peak replay-arena bytes above
   //     `adaptive_arena_budget_bytes` (0 disables the signal) — also
   //     halves the cap, and after `adaptive_hysteresis` consecutive
@@ -113,13 +110,9 @@ struct AdmissionLimits {
   // The decision trail is recorded in AdmissionStats (adaptive_* fields)
   // and published as admission.adaptive.* metrics.
   bool adaptive = false;
-  /// Floor the adaptive controller never cuts the batch cap below.
-  size_t adaptive_min_batch_queries = 1;
   /// Replay-arena budget in bytes for the memory-pressure signal
   /// (0 = stall signal only).
   uint64_t adaptive_arena_budget_bytes = 0;
-  /// Parked-batches-per-batch ratio that counts as stall pressure.
-  double adaptive_stall_threshold = 0.5;
   /// Consecutive calm runs before a grow step, and consecutive pressured
   /// runs before the shard count shrinks (must be >= 1).
   size_t adaptive_hysteresis = 2;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/dom_engine.h"
+#include "core/run_query.h"
 #include "core/stats_publish.h"
 #include "eval/evaluator.h"
 #include "eval/exec_context.h"
@@ -86,18 +87,32 @@ Result<ExecStats> Engine::Execute(const CompiledQuery& query,
 Result<ExecStats> Engine::ExecuteStreaming(const CompiledQuery& query,
                                            std::unique_ptr<ByteSource> input,
                                            std::ostream* out) const {
-  auto start = std::chrono::steady_clock::now();
-  const EngineOptions& options = query.options();
-
   StreamExecContext ctx(&query.analyzed().projection, &query.analyzed().roles,
-                        std::move(input), options.scanner);
+                        std::move(input), query.options().scanner);
   ctx.set_governor(governor_);
-  ctx.buffer().set_gc_enabled(options.active_gc());
   if (trace_) {
     ctx.projector().set_trace([this, &ctx](const XmlEvent& event) {
       trace_(event, ctx.buffer(), ctx.tags());
     });
   }
+  GCX_ASSIGN_OR_RETURN(
+      ExecStats stats,
+      EvaluateOne(query.analyzed(), query.options(), ctx, ctx.projector(),
+                  &ctx.scanner(), out, governor_));
+  PublishExecStats(stats, GlobalMetrics(), query.canonical_text());
+  return stats;
+}
+
+Result<ExecStats> EvaluateOne(const AnalyzedQuery& analyzed,
+                              const EngineOptions& options, ExecContext& ctx,
+                              StreamProjector& projector,
+                              const XmlScanner* scanner, std::ostream* out,
+                              RunGovernor* governor, bool charge_output,
+                              AggregateParts* capture) {
+  auto start = std::chrono::steady_clock::now();
+  // Nothing reaches a context's buffer before its own evaluator pulls, so
+  // the GC rule is applied here for every path.
+  ctx.buffer().set_gc_enabled(options.active_gc());
 
   if (options.mode == EngineMode::kMaterializedProjection) {
     // Static projection à la Marian & Siméon: materialize the projected
@@ -109,23 +124,21 @@ Result<ExecStats> Engine::ExecuteStreaming(const CompiledQuery& query,
   }
 
   XmlWriter writer(out);
-  writer.set_governor(governor_);
+  if (charge_output) writer.set_governor(governor);
   EvalOptions eval_options;
   eval_options.execute_signoffs = options.active_gc();
-  Evaluator evaluator(&query.analyzed(), &ctx, &writer, eval_options);
+  eval_options.aggregate_capture = capture;
+  Evaluator evaluator(&analyzed, &ctx, &writer, eval_options);
   GCX_RETURN_IF_ERROR(evaluator.Run());
-  if (governor_ != nullptr) {
+  if (governor != nullptr) {
     // Final checkpoint: an output that landed exactly on the cap passes,
     // one byte past it trips — even when the overrun happened after the
     // last input pull.
-    GCX_RETURN_IF_ERROR(governor_->CheckAll(/*force_clock=*/true));
+    GCX_RETURN_IF_ERROR(governor->CheckAll(/*force_clock=*/true));
   }
 
-  ExecStats stats =
-      MakeExecStats(start, writer.bytes_written(), &ctx.buffer(),
-                    &ctx.projector(), &ctx.scanner(), &evaluator.stats());
-  PublishExecStats(stats, GlobalMetrics(), query.canonical_text());
-
+  ExecStats stats = MakeExecStats(start, writer.bytes_written(), &ctx.buffer(),
+                                  &projector, scanner, &evaluator.stats());
   if (eval_options.execute_signoffs) {
     // Paper requirement (2): every assigned role was removed again.
     GCX_CHECK(ctx.buffer().live_role_instances() == 0);
@@ -182,18 +195,28 @@ Result<ExecStats> Engine::ExecuteNaiveDom(const CompiledQuery& query,
   GCX_RETURN_IF_ERROR(ReadAll(input.get(), &document, governor_));
   GCX_ASSIGN_OR_RETURN(std::unique_ptr<DomDocument> doc,
                        ParseDom(document, query.options().scanner));
-  XmlWriter writer(out);
-  writer.set_governor(governor_);
-  GCX_RETURN_IF_ERROR(EvalQueryOnDom(query.parsed(), doc.get(), &writer));
-  if (governor_ != nullptr) {
-    GCX_RETURN_IF_ERROR(governor_->CheckAll(/*force_clock=*/true));
-  }
-
-  ExecStats stats = MakeExecStats(start, writer.bytes_written());
+  GCX_ASSIGN_OR_RETURN(ExecStats stats,
+                       EvaluateOnDom(query, doc.get(),
+                                     DomSubtreeBytes(doc->root()), start, out,
+                                     governor_));
   stats.scan_passes = 1;
-  stats.peak_bytes = DomSubtreeBytes(doc->root());
   stats.input_bytes = document.size();
   PublishExecStats(stats, GlobalMetrics(), query.canonical_text());
+  return stats;
+}
+
+Result<ExecStats> EvaluateOnDom(const CompiledQuery& query, DomDocument* doc,
+                                uint64_t dom_bytes,
+                                std::chrono::steady_clock::time_point start,
+                                std::ostream* out, RunGovernor* governor) {
+  XmlWriter writer(out);
+  writer.set_governor(governor);
+  GCX_RETURN_IF_ERROR(EvalQueryOnDom(query.parsed(), doc, &writer));
+  if (governor != nullptr) {
+    GCX_RETURN_IF_ERROR(governor->CheckAll(/*force_clock=*/true));
+  }
+  ExecStats stats = MakeExecStats(start, writer.bytes_written());
+  stats.peak_bytes = dom_bytes;
   return stats;
 }
 

@@ -20,10 +20,10 @@
 #include "common/thread_pool.h"
 #include "core/dom_engine.h"
 #include "core/event_filter.h"
+#include "core/run_query.h"
 #include "core/shard.h"
 #include "core/stats_publish.h"
 #include "eval/evaluator.h"
-#include "eval/exec_context.h"
 #include "projection/merged_dfa.h"
 #include "xml/fd_source.h"
 #include "xml/writer.h"
@@ -535,66 +535,6 @@ void ScanShard(std::string_view doc, const ShardSlice& slice,
   }
 }
 
-/// Evaluates one analyzed query to completion (materialized-projection
-/// pre-pull, evaluator run, detach, per-query stats). Every batch query
-/// runs through here: the unsharded pipeline (MultiQueryRun::Impl), which
-/// a sharded batch's merge-and-replay queries share, and the shard workers'
-/// local segments over their own shard log. `analyzed` is a full compiled
-/// query or one shard-local query segment; `capture`, when set, diverts a
-/// root-rooted aggregate's result into partials (eval/evaluator.h) for
-/// cross-shard combination.
-Result<ExecStats> EvaluateOne(const AnalyzedQuery& analyzed,
-                              const EngineOptions& options,
-                              BatchQueryContext& ctx, std::ostream* out,
-                              AggregateParts* capture = nullptr,
-                              RunGovernor* governor = nullptr,
-                              bool charge_output = true) {
-  auto start = std::chrono::steady_clock::now();
-  // Nothing reaches a context's buffer before its own evaluator pulls, so
-  // the GC rule is applied here for every path.
-  ctx.buffer().set_gc_enabled(options.active_gc());
-
-  if (options.mode == EngineMode::kMaterializedProjection) {
-    // Static projection: materialize this query's projected document
-    // completely (replaying the shared log), then evaluate on it.
-    while (true) {
-      GCX_ASSIGN_OR_RETURN(bool more, ctx.Pull());
-      if (!more) break;
-    }
-  }
-
-  XmlWriter writer(out);
-  // charge_output is false for worker-local segment evaluation: those
-  // bytes reach the client through the final merge writer, which charges
-  // them — charging both would double-count the output ledger.
-  if (charge_output && governor != nullptr) writer.set_governor(governor);
-  EvalOptions eval_options;
-  eval_options.execute_signoffs = options.active_gc();
-  eval_options.aggregate_capture = capture;
-  Evaluator evaluator(&analyzed, &ctx, &writer, eval_options);
-  GCX_RETURN_IF_ERROR(evaluator.Run());
-  if (governor != nullptr) {
-    // Final checkpoint: an output landing exactly on the cap passes, one
-    // byte past it trips — even when the overrun happened after the last
-    // pull checkpoint.
-    GCX_RETURN_IF_ERROR(governor->CheckAll(/*force_clock=*/true));
-  }
-  // Freeze this query's pipeline exactly where a solo run would have
-  // stopped pulling; later queries continue the shared scan without it.
-  ctx.Detach();
-
-  // No scanner: the batch's one pass is accounted in MultiQueryStats::shared.
-  ExecStats stats = MakeExecStats(start, writer.bytes_written(), &ctx.buffer(),
-                                  &ctx.projector(), /*scanner=*/nullptr,
-                                  &evaluator.stats());
-  if (eval_options.execute_signoffs) {
-    // Paper requirement (2), per batched query: every assigned role was
-    // removed again.
-    GCX_CHECK(ctx.buffer().live_role_instances() == 0);
-  }
-  return stats;
-}
-
 Status ValidateBatch(const std::vector<const CompiledQuery*>& queries,
                      const std::vector<std::ostream*>& outs) {
   if (queries.empty()) {
@@ -650,7 +590,10 @@ Result<MultiQueryStats> MultiQueryEngine::Execute(
 /// MultiQueryEngine::Execute evaluates straight away instead, its pulls
 /// advancing the shared scan and waiting out stalls. A sharded batch builds
 /// one over an empty source and splices the shard logs into its demux, so
-/// its merge-and-replay queries evaluate and finish here too.
+/// its merge-and-replay queries evaluate and finish here too. Each query
+/// evaluates through the routines the solo engine uses (core/run_query.h):
+/// EvaluateOne over its BatchQueryContext, or EvaluateOnDom over the one
+/// parsed document.
 struct MultiQueryRun::Impl {
   std::vector<const CompiledQuery*> queries;
   std::vector<std::ostream*> outs;
@@ -765,17 +708,11 @@ Status MultiQueryRun::Impl::Evaluate() {
         ParseDom(dom_buffer, queries.front()->options().scanner));
     uint64_t dom_bytes = DomSubtreeBytes(doc->root());
     for (size_t i = 0; i < queries.size(); ++i) {
-      auto start = std::chrono::steady_clock::now();
-      XmlWriter writer(outs[i]);
-      writer.set_governor(governor);
-      GCX_RETURN_IF_ERROR(
-          EvalQueryOnDom(queries[i]->parsed(), doc.get(), &writer));
-      if (governor != nullptr) {
-        GCX_RETURN_IF_ERROR(governor->CheckAll(/*force_clock=*/true));
-      }
       // As in the streaming batch, input accounting lives in stats.shared.
-      ExecStats one = MakeExecStats(start, writer.bytes_written());
-      one.peak_bytes = dom_bytes;
+      GCX_ASSIGN_OR_RETURN(
+          ExecStats one,
+          EvaluateOnDom(*queries[i], doc.get(), dom_bytes,
+                        std::chrono::steady_clock::now(), outs[i], governor));
       stats.per_query.push_back(one);
     }
     stats.shared.bytes_scanned = dom_buffer.size();
@@ -795,7 +732,10 @@ Status MultiQueryRun::Impl::EvaluateStreaming() {
     GCX_ASSIGN_OR_RETURN(
         stats.per_query[i],
         EvaluateOne(queries[i]->analyzed(), queries[i]->options(), ctx,
-                    outs[i], /*capture=*/nullptr, governor));
+                    ctx.projector(), /*scanner=*/nullptr, outs[i], governor));
+    // Freeze this query's pipeline exactly where a solo run would have
+    // stopped pulling; later queries continue the shared scan without it.
+    ctx.Detach();
   }
   return Status::Ok();
 }
@@ -1080,11 +1020,13 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
                     ? &slot.agg
                     : nullptr;
             std::ostringstream out;
-            Result<ExecStats> stats =
-                EvaluateOne(dynamic.analyzed, owner.options(), **context,
-                            &out, capture, governor_,
-                            /*charge_output=*/false);
-            context->reset();  // frees the segment's buffer
+            Result<ExecStats> stats = EvaluateOne(
+                dynamic.analyzed, owner.options(), **context,
+                (*context)->projector(), /*scanner=*/nullptr, &out, governor_,
+                /*charge_output=*/false, capture);
+            // Frees the segment's buffer and unsubscribes it; no detach is
+            // needed, since the pin keeps the log whole anyway.
+            context->reset();
             if (!stats.ok()) {
               local_status[i] = stats.status();
               abort.Fail(i);

@@ -31,10 +31,11 @@
 // trims each event as it replays it. A sharded run (ExecuteSharded) keeps
 // every shard's log and arena until the batch ends: the merge-and-replay
 // log is spliced from them (entries moved, text left in the shard arenas),
-// and the shard demuxes release their ledger charges when destroyed. The
-// per-query buffers behave exactly as in solo runs (projection + active
-// GC), so the paper's Sec. 3 safety requirements hold per query and are
-// re-checked here.
+// and the shard demuxes release their ledger charges when destroyed. Each
+// query evaluates through the solo engine's own routine (EvaluateOne,
+// core/run_query.h), so its buffer behaves exactly as in a solo run
+// (projection + active GC), and the paper's Sec. 3 safety requirements
+// hold and are re-checked per query.
 
 #ifndef GCX_CORE_MULTI_ENGINE_H_
 #define GCX_CORE_MULTI_ENGINE_H_

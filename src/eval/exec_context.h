@@ -6,10 +6,10 @@
 // in a loop until the datum it needs appears in the buffer.
 //
 // ExecContext is the abstract surface the evaluator and cursors pull
-// through; StreamExecContext is the classic one-query-one-scanner wiring.
-// The multi-query engine (core/multi_engine.h) provides a second
-// implementation whose Pull() demultiplexes one shared document scan
-// across N per-query buffers.
+// through; StreamExecContext is the classic one-query-one-scanner wiring,
+// and the multi-query engine's (core/multi_engine.h) Pull() demultiplexes
+// one shared scan across N per-query buffers. Every path then evaluates
+// through one routine, EvaluateOne (core/run_query.h).
 
 #ifndef GCX_EVAL_EXEC_CONTEXT_H_
 #define GCX_EVAL_EXEC_CONTEXT_H_

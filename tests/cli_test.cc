@@ -269,6 +269,46 @@ TEST_F(CliTest, KeepWhitespaceFlag) {
   EXPECT_EQ(r.output, "<r><a><b>k</b> </a></r>\n");
 }
 
+TEST_F(CliTest, DropAttributesFlagDiscardsAttributeSubelements) {
+  // By default an attribute becomes a subelement the query can read.
+  const std::string pipeline = "echo '<a><b y=\"2\">k</b></a>' | " +
+                               BinaryPath() +
+                               " -q '<r>{ for $x in /a/b/y return $x }</r>'";
+  RunResult kept = Shell(pipeline + " -");
+  EXPECT_EQ(kept.exit_code, 0);
+  EXPECT_EQ(kept.output, "<r><y>2</y></r>\n");
+  RunResult dropped = Shell(pipeline + " --drop-attributes -");
+  EXPECT_EQ(dropped.exit_code, 0);
+  EXPECT_EQ(dropped.output, "<r></r>\n");
+}
+
+TEST_F(CliTest, TraceDumpsTheBufferAfterEveryToken) {
+  // Fig. 2 style: each input token, then the buffer with its role and pin
+  // annotations, on stderr; the result on stdout is unchanged.
+  const std::string command = "echo '<a><b>hi</b><c/></a>' | " +
+                              BinaryPath() +
+                              " -q '<r>{ for $x in /a/b return $x }</r>' ";
+  RunResult plain = Shell(command + "- 2>&1");
+  EXPECT_EQ(plain.exit_code, 0);
+  EXPECT_EQ(plain.output, "<r><b>hi</b></r>\n");
+  RunResult traced = Shell(command + "--trace - 2>&1 >/dev/null");
+  EXPECT_EQ(traced.exit_code, 0);
+  for (const char* token : {"-- <a>\n", "-- <b>\n", "-- text(2 bytes)\n",
+                            "-- </b>\n", "-- <c>\n", "-- end-of-document\n"}) {
+    EXPECT_NE(traced.output.find(token), std::string::npos)
+        << token << "\n" << traced.output;
+  }
+  // After <b>: b holds the for-loop's role; the dump ends with the buffer
+  // purged down to the pinned document element.
+  EXPECT_NE(traced.output.find("-- <b>\n/ (open)\n  a{pin} (open)\n    b{r"),
+            std::string::npos)
+      << traced.output;
+  const std::string last = "-- end-of-document\n/\n  a{pin}\n";
+  ASSERT_GE(traced.output.size(), last.size());
+  EXPECT_EQ(traced.output.substr(traced.output.size() - last.size()), last)
+      << traced.output;
+}
+
 TEST_F(CliTest, RepeatedQueryFlagRunsABatch) {
   RunResult r = Shell("echo '<a><b>hi</b><c>3</c><c>4</c></a>' | " +
                       BinaryPath() +
@@ -555,6 +595,78 @@ TEST_F(CliTest, AdmissionBatchLimitSplitsAndStaysCorrect) {
       << r.output;
   EXPECT_NE(r.output.find("batches=3"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("solo=3"), std::string::npos) << r.output;
+}
+
+TEST_F(CliTest, BareAdmissionFlagRoutesThroughTheController) {
+  // Same output as the hand-built batch, but --stats now reports the
+  // admission controller's counters instead of the batch's scan counters.
+  const std::string command = "echo '<a><b>1</b><b>2</b></a>' | " +
+                              BinaryPath() +
+                              " -q '<r>{ count(/a/b) }</r>'"
+                              " -q '<s>{ for $x in /a/b return $x }</s>'"
+                              " --stats ";
+  RunResult hand = Shell(command + "- 2>&1");
+  EXPECT_EQ(hand.exit_code, 0);
+  EXPECT_EQ(hand.output.find("admission:"), std::string::npos) << hand.output;
+  RunResult admitted = Shell(command + "--admission - 2>&1");
+  EXPECT_EQ(admitted.exit_code, 0);
+  EXPECT_EQ(admitted.output.find("<r>2</r>\n<s><b>1</b><b>2</b></s>\n"), 0u)
+      << admitted.output;
+  EXPECT_NE(admitted.output.find("admission: submitted=2 admitted=2 "
+                                 "rejected=0 batches=1 solo=0"),
+            std::string::npos)
+      << admitted.output;
+  EXPECT_NE(admitted.output.find("splits_size=0 splits_memory=0"),
+            std::string::npos)
+      << admitted.output;
+}
+
+TEST_F(CliTest, AdmissionMemoryBudgetForcesAMemorySplit) {
+  // The first batch (cap 2) teaches the controller ~5 replay events per
+  // query; a one-event budget then cuts every later batch to one query.
+  const std::string command =
+      "echo '<a><b>1</b><b>2</b></a>' | " + BinaryPath() +
+      " -q '<r>{ count(/a/b) }</r>' -q '<s>{ for $x in /a/b return $x }</s>'"
+      " -q '<t>{ count(/a/b) }</t>' -q '<u>{ count(/a/b) }</u>'"
+      " --admission-batch=2 --stats ";
+  const std::string expected =
+      "<r>2</r>\n<s><b>1</b><b>2</b></s>\n<t>2</t>\n<u>2</u>\n";
+  RunResult by_size = Shell(command + "- 2>&1");
+  EXPECT_EQ(by_size.exit_code, 0);
+  EXPECT_EQ(by_size.output.find(expected), 0u) << by_size.output;
+  EXPECT_NE(by_size.output.find("batches=2 solo=0 sharded=0 splits_size=1 "
+                                "splits_memory=0"),
+            std::string::npos)
+      << by_size.output;
+  RunResult by_memory = Shell(command + "--admission-memory=1 - 2>&1");
+  EXPECT_EQ(by_memory.exit_code, 0);
+  EXPECT_EQ(by_memory.output.find(expected), 0u) << by_memory.output;
+  EXPECT_NE(by_memory.output.find("batches=3 solo=2 sharded=0 splits_size=1 "
+                                  "splits_memory=1"),
+            std::string::npos)
+      << by_memory.output;
+}
+
+TEST_F(CliTest, AdmissionArenaBudgetHalvesTheAdaptiveBatchCap) {
+  // The budget implies --admission-adaptive; a run whose replay arena peaks
+  // above it counts as memory pressure and halves the batch cap (16 -> 8).
+  const std::string command = "echo '<a><b>1</b><b>2</b></a>' | " +
+                              BinaryPath() +
+                              " -q '<r>{ count(/a/b) }</r>'"
+                              " -q '<s>{ for $x in /a/b return $x }</s>'"
+                              " --stats ";
+  RunResult tight = Shell(command + "--admission-arena-budget=1 - 2>&1");
+  EXPECT_EQ(tight.exit_code, 0);
+  EXPECT_NE(tight.output.find("adaptive: batch_cap=8 shards=1 increases=0 "
+                              "decreases_stalls=0 decreases_memory=1"),
+            std::string::npos)
+      << tight.output;
+  RunResult roomy = Shell(command + "--admission-arena-budget=100000 - 2>&1");
+  EXPECT_EQ(roomy.exit_code, 0);
+  EXPECT_NE(roomy.output.find("adaptive: batch_cap=16 shards=1 increases=0 "
+                              "decreases_stalls=0 decreases_memory=0"),
+            std::string::npos)
+      << roomy.output;
 }
 
 // --- metrics export ---------------------------------------------------------

@@ -16,6 +16,8 @@
 #include "core/multi_engine.h"
 #include "projection/merged_dfa.h"
 #include "test_sources.h"
+#include "xmark/generator.h"
+#include "xmark/queries.h"
 
 namespace gcx {
 namespace {
@@ -268,6 +270,56 @@ TEST(MultiQueryRun, SoloRunMatchesTheSoloEngineBufferPeak) {
     EXPECT_EQ(stats->per_query[0].peak_bytes, solo_stats->peak_bytes)
         << "stall_every=" << stall_every;
     EXPECT_EQ(stats->per_query[0].live_roles_final, 0u);
+  }
+}
+
+TEST(MultiQueryRun, OneQueryBatchReportsTheSoloEngineStats) {
+  // The solo engine and a batch evaluate each query through the same
+  // routine, so a one-query batch must report what the solo run reports for
+  // everything that routine measures. Input-side counters are excluded: the
+  // batch's projector only sees the events its merged-DFA prefilter
+  // forwards, and the batch's one scan is accounted in MultiQueryStats.
+  const std::string doc = GenerateXMark(XMarkOptions{0.05, 7});
+  for (const NamedEngineConfig& config : StandardEngineConfigs()) {
+    if (config.options.mode == EngineMode::kNaiveDom) continue;
+    for (const NamedQuery& query : AllXMarkQueries()) {
+      SCOPED_TRACE(std::string(config.name) + " " + query.name);
+      Batch batch = CompileBatch({std::string(query.text)}, config.options);
+      std::ostringstream solo_out;
+      auto solo = Engine().Execute(*batch.pointers[0], doc, &solo_out);
+      ASSERT_TRUE(solo.ok());
+      std::ostringstream batch_out;
+      auto batched =
+          MultiQueryEngine().Execute(batch.pointers, doc, {&batch_out});
+      ASSERT_TRUE(batched.ok());
+      EXPECT_EQ(batch_out.str(), solo_out.str());
+      const ExecStats& a = *solo;
+      const ExecStats& b = batched->per_query[0];
+      EXPECT_EQ(a.peak_bytes, b.peak_bytes);
+      EXPECT_EQ(a.output_bytes, b.output_bytes);
+      EXPECT_EQ(a.buffer.nodes_current, b.buffer.nodes_current);
+      EXPECT_EQ(a.buffer.nodes_peak, b.buffer.nodes_peak);
+      EXPECT_EQ(a.buffer.bytes_current, b.buffer.bytes_current);
+      EXPECT_EQ(a.buffer.bytes_peak, b.buffer.bytes_peak);
+      EXPECT_EQ(a.buffer.nodes_created, b.buffer.nodes_created);
+      EXPECT_EQ(a.buffer.nodes_purged, b.buffer.nodes_purged);
+      EXPECT_EQ(a.buffer.roles_assigned, b.buffer.roles_assigned);
+      EXPECT_EQ(a.buffer.roles_removed, b.buffer.roles_removed);
+      EXPECT_EQ(a.buffer.gc_runs, b.buffer.gc_runs);
+      EXPECT_EQ(a.buffer.gc_nodes_visited, b.buffer.gc_nodes_visited);
+      EXPECT_EQ(a.buffer.text_arena_peak_bytes, b.buffer.text_arena_peak_bytes);
+      EXPECT_EQ(a.buffer.text_arena_reserved_bytes,
+                b.buffer.text_arena_reserved_bytes);
+      EXPECT_EQ(a.live_roles_final, b.live_roles_final);
+      EXPECT_EQ(a.buffer_nodes_final, b.buffer_nodes_final);
+      EXPECT_EQ(a.conditions_evaluated, b.conditions_evaluated);
+      EXPECT_EQ(a.join_index_rows, b.join_index_rows);
+      EXPECT_EQ(a.join_probes, b.join_probes);
+      EXPECT_EQ(a.join_index_peak_bytes, b.join_index_peak_bytes);
+      // The solo run owns a scan pass; the batched query does not.
+      EXPECT_EQ(a.scan_passes, 1u);
+      EXPECT_EQ(b.scan_passes, 0u);
+    }
   }
 }
 
