@@ -166,17 +166,27 @@ void SerializeBufferNode(const BufferNode* node, const SymbolTable& tags,
 Result<ExecStats> Engine::Project(const CompiledQuery& query,
                                   std::string_view input,
                                   std::ostream* out) const {
+  return Project(query, std::make_unique<StringSource>(input), out);
+}
+
+Result<ExecStats> Engine::Project(const CompiledQuery& query,
+                                  std::unique_ptr<ByteSource> input,
+                                  std::ostream* out) const {
   auto start = std::chrono::steady_clock::now();
   StreamExecContext ctx(&query.analyzed().projection, &query.analyzed().roles,
-                        std::make_unique<StringSource>(input),
-                        query.options().scanner);
+                        std::move(input), query.options().scanner);
+  ctx.set_governor(governor_);
   ctx.buffer().set_gc_enabled(false);
   while (true) {
     GCX_ASSIGN_OR_RETURN(bool more, ctx.Pull());
     if (!more) break;
   }
   XmlWriter writer(out);
+  writer.set_governor(governor_);
   SerializeBufferNode(ctx.buffer().root(), ctx.tags(), &writer);
+  if (governor_ != nullptr) {
+    GCX_RETURN_IF_ERROR(governor_->CheckAll(/*force_clock=*/true));
+  }
 
   ExecStats stats = MakeExecStats(start, writer.bytes_written(), &ctx.buffer(),
                                   &ctx.projector(), &ctx.scanner());

@@ -186,15 +186,20 @@ class Engine {
   /// projection of the input w.r.t. the query's projection tree (Sec. 2) —
   /// and serializes it to `out` instead of evaluating the query. By
   /// Theorem 1, evaluating the query over this projected document yields
-  /// the same result as over the original.
+  /// the same result as over the original. Governed like Execute.
   Result<ExecStats> Project(const CompiledQuery& query, std::string_view input,
+                            std::ostream* out) const;
+
+  /// Stream variant of Project.
+  Result<ExecStats> Project(const CompiledQuery& query,
+                            std::unique_ptr<ByteSource> input,
                             std::ostream* out) const;
 
   /// Installs a per-input-token trace (streaming modes only).
   void set_trace(TraceFn trace) { trace_ = std::move(trace); }
 
-  /// Installs a resource governor for subsequent Execute calls: deadline,
-  /// buffer-byte and output-byte budgets are enforced at the pull
+  /// Installs a resource governor for subsequent Execute and Project calls:
+  /// deadline, buffer-byte and output-byte budgets are enforced at the pull
   /// checkpoints with typed kDeadlineExceeded/kResourceExhausted errors.
   /// Null (the default) governs nothing. Not owned; must outlive the runs.
   void set_governor(RunGovernor* governor) { governor_ = governor; }

@@ -365,28 +365,11 @@ BatchQueryContext::~BatchQueryContext() {
 void BatchQueryContext::Detach() { demux_->Detach(this); }
 
 Result<bool> BatchQueryContext::Pull() {
-  // The synchronous Execute path cannot suspend its evaluator, so a stall
-  // becomes a readiness wait + retry (PullFor delivered nothing and the
-  // scanner rewound, so the retry is exact). The resumable MultiQueryRun
-  // reaches this only after the scan completed, when PullFor can never
-  // stall.
-  RunGovernor* governor = demux_->governor();
-  while (true) {
-    if (governor != nullptr) {
-      GCX_RETURN_IF_ERROR(governor->CheckAll());
-      GCX_RETURN_IF_ERROR(governor->UpdateArenaBytes(
-          &arena_lease_, buffer_.stats().bytes_current));
-    }
-    Result<bool> more = demux_->PullFor(this);
-    if (more.ok() || !IsWouldBlock(more.status())) return more;
-    WaitReadable(demux_->scanner().ReadyFd(),
-                 governor != nullptr ? governor->BoundedWaitMs(-1) : -1);
-    if (governor != nullptr) {
-      // The wait may have ended on the deadline, not on data: force a
-      // clocked check so a stalled source cannot spin past the deadline.
-      GCX_RETURN_IF_ERROR(governor->CheckAll(/*force_clock=*/true));
-    }
-  }
+  // The resumable MultiQueryRun reaches this only after the scan completed,
+  // when PullFor can never stall.
+  return GovernedPull(demux_->governor(), &arena_lease_, buffer_,
+                      demux_->scanner(),
+                      [this] { return demux_->PullFor(this); });
 }
 
 /// Zero-copy three-part source: synthetic entry wrapper, the document
@@ -436,11 +419,10 @@ struct ShardScan {
 /// pumps it to kDone. Safe to run concurrently for distinct shards over one
 /// shared thread-safe SymbolTable. Every pumped event is the demux's own
 /// governor checkpoint, and its log and arena charge the run's ledgers
-/// until the demux is destroyed. Stalls wait boundedly (poll with an fd,
-/// yield/sleep without), and `abort` is checked between pumps, so a
-/// failure in an earlier shard is noticed promptly; an aborted scan ends
-/// with an error the in-order sweep never reports (the earlier shard's own
-/// error surfaces first).
+/// until the demux is destroyed. Stalls wait at most 20 ms (AwaitInput),
+/// and `abort` is checked between pumps, so a failure in an earlier shard
+/// is noticed promptly; an aborted scan ends with an error the in-order
+/// sweep never reports (the earlier shard's own error surfaces first).
 void ScanShard(std::string_view doc, const ShardSlice& slice,
                ScannerOptions scanner_options,
                const std::vector<MergedDfaInput>& dfa_inputs,
@@ -491,7 +473,6 @@ void ScanShard(std::string_view doc, const ShardSlice& slice,
     abort->Fail(shard_index);
   };
   const size_t wrapper_events = slice.entry_path.size();
-  uint64_t stall_spins = 0;
   while (true) {
     if (abort->ShouldAbort(shard_index)) {
       scan->status =
@@ -505,27 +486,11 @@ void ScanShard(std::string_view doc, const ShardSlice& slice,
         in_wrappers ? demux.PumpOne() : demux.PumpUntilStalledOrDone();
     if (!pumped.ok()) return fail(pumped.status());
     if (*pumped == PumpState::kStalled) {
-      int fd = demux.scanner().ReadyFd();
-      if (fd >= 0) {
-        // Bounded wait so an abort (or a deadline armed on the governor)
-        // signalled meanwhile is still noticed.
-        WaitReadable(fd, governor != nullptr ? governor->BoundedWaitMs(20)
-                                             : 20);
-      } else if (++stall_spins <= 64) {
-        // Non-pollable source: yield while the stall looks transient, then
-        // sleep so a long stall doesn't monopolize a core.
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-      if (governor != nullptr) {
-        // The wait may have ended on the deadline, not on data.
-        Status check = governor->Check(/*force_clock=*/true);
-        if (!check.ok()) return fail(std::move(check));
-      }
+      // Bounded wait, so an abort signalled meanwhile is still noticed.
+      Status waited = AwaitInput(demux.scanner().ReadyFd(), governor, 20);
+      if (!waited.ok()) return fail(std::move(waited));
       continue;
     }
-    stall_spins = 0;
     if (in_wrappers) {
       // An entry logged past the wrappers is the slice's own.
       scan->lead = demux.log_size() -
@@ -1056,7 +1021,10 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
         // retry on the serial single-scan path, whose replay log trims as
         // the lone stream advances. The retry runs under a fresh child
         // attempt: the tripped token must not poison it, while the
-        // deadline and output ledger keep their run-wide scope.
+        // deadline and output ledger keep their run-wide scope. Admission's
+        // split/shed cannot stand in for this: it splits batches down to a
+        // singleton and sheds a singleton that still trips, whereas this
+        // retry serves that singleton, whose serial log fits the budget.
         local_results.clear();
         scans.clear();  // releases the shard logs and their ledger charges
         GlobalMetrics().Sub("robustness").Add("serial_fallbacks_total", 1);

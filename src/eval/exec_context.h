@@ -51,6 +51,35 @@ class ExecContext {
   }
 };
 
+/// The one governed pull loop, shared by the solo context and a batch
+/// query's context. With a governor every pull is a cooperative checkpoint
+/// (deadline, cancellation, output cap) that also charges `buffer`'s bytes
+/// to the arena budget through the ledger cursor `lease`. The evaluator
+/// cannot suspend mid-expression, so a would-block from `advance` becomes
+/// an AwaitInput on `input`'s descriptor and a retry: a stalled advance
+/// delivered nothing (the scanner rewound to the event boundary), so the
+/// event stream stays byte-identical to a blocking source. Interleaving
+/// across stalls happens one level up, in the admission scheduler
+/// (core/admission.h). A null governor leaves only advance and wait.
+/// Always inlined, so each Pull override is one self-contained loop, as a
+/// hand-written one would be: a thin forwarding Pull would invite the
+/// compiler to devirtualize it speculatively into every evaluator call site.
+template <typename Advance>
+[[gnu::always_inline]] inline Result<bool> GovernedPull(
+    RunGovernor* governor, uint64_t* lease, const BufferTree& buffer,
+    const XmlScanner& input, Advance advance) {
+  while (true) {
+    if (governor != nullptr) {
+      GCX_RETURN_IF_ERROR(governor->CheckAll());
+      GCX_RETURN_IF_ERROR(
+          governor->UpdateArenaBytes(lease, buffer.stats().bytes_current));
+    }
+    Result<bool> more = advance();
+    if (more.ok() || !IsWouldBlock(more.status())) return more;
+    GCX_RETURN_IF_ERROR(AwaitInput(input.ReadyFd(), governor));
+  }
+}
+
 /// Owns the runtime state of one single-query streaming execution.
 class StreamExecContext final : public ExecContext {
  public:
@@ -69,39 +98,13 @@ class StreamExecContext final : public ExecContext {
     if (governor_ != nullptr) governor_->ReleaseArenaBytes(&arena_lease_);
   }
 
-  /// Installs the run's resource governor: every Pull becomes a
-  /// cooperative checkpoint (deadline, cancellation, output cap, buffer
-  /// bytes against the arena budget) and readiness waits are bounded by
-  /// the remaining deadline. Null (the default) leaves the pull loop
-  /// byte-identical to ungoverned execution.
+  /// Installs the run's resource governor (see GovernedPull). Null (the
+  /// default) leaves the pull loop byte-identical to ungoverned execution.
   void set_governor(RunGovernor* governor) { governor_ = governor; }
 
-  /// The evaluator cannot suspend mid-expression, so the solo loop turns a
-  /// would-block from the (resumable) scanner into a readiness wait and
-  /// retries: the scanner rewound to the event boundary, Advance() is
-  /// side-effect-free on would-block, and the event stream stays
-  /// byte-identical to a blocking source. Interleaving across stalls
-  /// happens one level up, in the admission scheduler (core/admission.h).
   Result<bool> Pull() override {
-    while (true) {
-      if (governor_ != nullptr) {
-        GCX_RETURN_IF_ERROR(governor_->CheckAll());
-        GCX_RETURN_IF_ERROR(governor_->UpdateArenaBytes(
-            &arena_lease_, buffer_.stats().bytes_current));
-      }
-      Result<bool> more = projector_.Advance();
-      if (more.ok() || !IsWouldBlock(more.status())) return more;
-      // A kError wait (bad descriptor, poll failure) falls through to the
-      // retry: the read itself then surfaces the real failure.
-      WaitReadable(scanner_.ReadyFd(),
-                   governor_ != nullptr ? governor_->BoundedWaitMs(-1) : -1);
-      if (governor_ != nullptr) {
-        // The wait may have ended because the deadline ran out, not
-        // because data arrived: force a clocked check so a stalled source
-        // cannot spin pull/wait past the deadline.
-        GCX_RETURN_IF_ERROR(governor_->CheckAll(/*force_clock=*/true));
-      }
-    }
+    return GovernedPull(governor_, &arena_lease_, buffer_, scanner_,
+                        [this] { return projector_.Advance(); });
   }
 
  private:

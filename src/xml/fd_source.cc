@@ -165,6 +165,17 @@ Result<bool> ReadAvailable(ByteSource* source, std::string* out,
   }
 }
 
+Status AwaitInput(int fd, RunGovernor* governor, int want_ms) {
+  int timeout_ms =
+      governor != nullptr ? governor->BoundedWaitMs(want_ms) : want_ms;
+  if (WaitReadable(fd, timeout_ms) == WaitStatus::kError) {
+    return IoError(std::string("poll failed waiting for input: ") +
+                   std::strerror(errno));
+  }
+  if (governor == nullptr) return Status::Ok();
+  return governor->CheckAll(/*force_clock=*/true);
+}
+
 namespace {
 
 Status DrainToEof(ByteSource* source, std::string* out, RunGovernor* governor,
@@ -173,14 +184,7 @@ Status DrainToEof(ByteSource* source, std::string* out, RunGovernor* governor,
     GCX_ASSIGN_OR_RETURN(bool eof,
                          ReadAvailable(source, out, governor, lease));
     if (eof) return Status::Ok();
-    int timeout_ms = governor != nullptr ? governor->BoundedWaitMs(-1) : -1;
-    if (WaitReadable(source->ReadyFd(), timeout_ms) == WaitStatus::kError) {
-      return IoError(std::string("poll failed waiting for input: ") +
-                     std::strerror(errno));
-    }
-    if (governor != nullptr) {
-      GCX_RETURN_IF_ERROR(governor->Check(/*force_clock=*/true));
-    }
+    GCX_RETURN_IF_ERROR(AwaitInput(source->ReadyFd(), governor));
   }
 }
 

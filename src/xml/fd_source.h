@@ -77,6 +77,15 @@ WaitStatus WaitAnyReadable(const std::vector<int>& fds, int timeout_ms);
 
 class RunGovernor;
 
+/// The stall step of every governed input loop (the stream contexts' pulls,
+/// ReadAll, the shard scans): waits until `fd` is readable, for at most
+/// `want_ms` (< 0: no limit of its own) and never past the governor's
+/// deadline, then runs a clocked checkpoint, since the wait may have ended
+/// on the deadline rather than on data. A failed wait (poll error, closed
+/// descriptor) is an IoError: no amount of waiting will help. An `fd` < 0
+/// yields once and returns, so the caller's retry loop polls.
+Status AwaitInput(int fd, RunGovernor* governor, int want_ms = -1);
+
 /// Appends whatever `source` has ready to `*out` without blocking: true at
 /// EOF, false once the source would block. With a governor every read is a
 /// checkpoint, and `out->size()` is charged against the arena budget through

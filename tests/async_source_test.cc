@@ -386,5 +386,46 @@ TEST(SoloEngineOverPipe, BlockingExecuteWaitsOutAStallingWriter) {
   EXPECT_EQ(out.str(), "<r>42</r>");
 }
 
+/// Would-block forever, naming a closed descriptor as its readiness fd:
+/// no wait on it can ever succeed.
+class ClosedFdStallSource : public ByteSource {
+ public:
+  explicit ClosedFdStallSource(int fd) : fd_(fd) {}
+  ReadResult Read(char*, size_t) override { return ReadResult::WouldBlock(); }
+  int ReadyFd() const override { return fd_; }
+
+ private:
+  int fd_;
+};
+
+TEST(AwaitInput, ClosedReadinessFdIsOneIoErrorOnEveryPath) {
+  // No deadline is set, so a loop that dropped the failed wait and retried
+  // would spin forever: every pull, drain and batch path must surface it.
+  Pipe pipe;
+  int fd = pipe.read_fd;
+  ::close(fd);
+  pipe.read_fd = -1;
+  const std::string expected =
+      "IoError: poll failed waiting for input: " +
+      std::string(std::strerror(EBADF));
+  for (EngineMode mode : {EngineMode::kStreaming,
+                          EngineMode::kMaterializedProjection,
+                          EngineMode::kNaiveDom}) {
+    EngineOptions options;
+    options.mode = mode;
+    auto q = CompiledQuery::Compile("<r>{ count(/a/b) }</r>", options);
+    ASSERT_TRUE(q.ok());
+    std::ostringstream out;
+    auto solo = Engine().Execute(
+        *q, std::make_unique<ClosedFdStallSource>(fd), &out);
+    ASSERT_FALSE(solo.ok());
+    EXPECT_EQ(solo.status().ToString(), expected);
+    auto batch = MultiQueryEngine().Execute(
+        {&*q}, std::make_unique<ClosedFdStallSource>(fd), {&out});
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(batch.status().ToString(), expected);
+  }
+}
+
 }  // namespace
 }  // namespace gcx

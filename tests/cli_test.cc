@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -797,6 +798,42 @@ TEST_F(CliTest, DeadlineOnStalledFifoExitsFourPromptly) {
   EXPECT_NE(r.output.find("run deadline of 300 ms exceeded"),
             std::string::npos)
       << r.output;
+}
+
+TEST_F(CliTest, ProjectOnlyOutputBudgetTripExitsFour) {
+  RunResult r = Shell("echo '<a><b>hello</b></a>' | " + BinaryPath() +
+                      " -q '<r>{ for $x in /a/b return $x }</r>'"
+                      " --project-only --max-output-bytes=2 - 2>&1 >/dev/null");
+  EXPECT_EQ(r.exit_code, 4);
+  EXPECT_NE(r.output.find(
+                "ResourceExhausted: output byte budget of 2 bytes exceeded"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST_F(CliTest, DeadlineOnStalledInputFdHoldsForShardsAndProjectOnly) {
+  // --shards reads the whole document before it splits it, and
+  // --project-only streams it: both must stop at the deadline, not when
+  // the writer gives up 3 s later.
+  std::string dir = ::testing::TempDir();
+  std::string fifo = dir + "/gcx_stall_fd_fifo";
+  for (const char* flag : {"--shards=2", "--project-only"}) {
+    std::string cmd = "rm -f " + fifo + " && mkfifo " + fifo +
+                      " && (sleep 3 > " + fifo + " &) && " + BinaryPath() +
+                      " -q '<r>{ count(/a) }</r>' " + flag +
+                      " --input-fd=3 --deadline-ms=200 3< " + fifo +
+                      " 2>&1 >/dev/null";
+    auto start = std::chrono::steady_clock::now();
+    RunResult r = Shell(cmd);
+    auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+    EXPECT_EQ(r.exit_code, 4) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find("DeadlineExceeded: run deadline of 200 ms exceeded"),
+              std::string::npos)
+        << flag << ": " << r.output;
+    EXPECT_LT(elapsed, 2000) << flag;
+  }
 }
 
 TEST_F(CliTest, AdmissionShedReportsTypedErrorAndExitsFour) {

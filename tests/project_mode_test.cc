@@ -6,12 +6,17 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
+#include "common/budget.h"
 #include "common/prng.h"
 #include "core/engine.h"
+#include "test_sources.h"
 
 namespace gcx {
 namespace {
@@ -165,6 +170,62 @@ TEST(ProjectMode, StatsReflectProjectionSize) {
   EXPECT_EQ(stats->projector.elements_kept, 2u);   // a, b
   EXPECT_EQ(stats->projector.elements_skipped, 1u);  // c
   EXPECT_EQ(stats->output_bytes, out.str().size());
+}
+
+TEST(ProjectMode, StreamOverloadWaitsOutStallsToTheSameBytes) {
+  auto compiled =
+      CompiledQuery::Compile("<r>{ for $x in /a/b return $x }</r>");
+  ASSERT_TRUE(compiled.ok());
+  const std::string doc = "<a><b>x</b><c>y</c><b>z</b></a>";
+  Engine engine;
+  std::ostringstream out;
+  auto stats = engine.Project(
+      *compiled, std::make_unique<WouldBlockEveryNSource>(doc, 3), &out);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(out.str(), ProjectDoc("<r>{ for $x in /a/b return $x }</r>", doc));
+}
+
+TEST(ProjectMode, BudgetsTripWithTheMaterializedProjectionText) {
+  // Project materializes the projected document exactly as the
+  // kMaterializedProjection engine does before it evaluates, so each budget
+  // must trip both with the same typed text.
+  std::string doc = "<a>";
+  for (int i = 0; i < 200; ++i) {
+    doc += "<b>payload-" + std::to_string(i) + "</b><c>skipped</c>";
+  }
+  doc += "</a>";
+  EngineOptions options;
+  options.mode = EngineMode::kMaterializedProjection;
+  auto compiled =
+      CompiledQuery::Compile("<r>{ for $x in /a/b return $x }</r>", options);
+  ASSERT_TRUE(compiled.ok());
+
+  RunBudget output;
+  output.max_output_bytes = 10;
+  RunBudget arena;
+  arena.max_arena_bytes = 64;
+  RunBudget deadline;
+  deadline.deadline_ms = 60000;
+  const std::vector<std::pair<RunBudget, std::string>> cases = {
+      {output, "ResourceExhausted: output byte budget of 10 bytes exceeded"},
+      {arena, "ResourceExhausted: arena byte budget of 64 bytes exceeded"},
+      {deadline, "DeadlineExceeded: run deadline of 60000 ms exceeded"}};
+  for (const auto& [budget, expected] : cases) {
+    std::vector<std::string> texts;
+    for (bool project : {true, false}) {
+      RunGovernor governor(budget);
+      if (budget.deadline_ms != 0) governor.ForceExpireForTesting();
+      Engine engine;
+      engine.set_governor(&governor);
+      std::ostringstream out;
+      auto stats = project ? engine.Project(*compiled, doc, &out)
+                           : engine.Execute(*compiled, doc, &out);
+      ASSERT_FALSE(stats.ok()) << (project ? "Project" : "Execute");
+      texts.push_back(stats.status().ToString());
+    }
+    EXPECT_EQ(texts[0], expected);
+    EXPECT_EQ(texts[1], expected);
+  }
 }
 
 }  // namespace

@@ -22,16 +22,12 @@
 //     Shard-local and merge-and-replay sharding must agree byte-for-byte
 //     on budget-trip error text with each other and with the serial path.
 //
-// The conformance corpus is found through GCX_CONFORMANCE_DIR (set by
-// CTest); run by hand, the usual source-tree locations are probed.
+// The conformance corpus is loaded through tests/corpus.h.
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -42,86 +38,16 @@
 #include "common/budget.h"
 #include "core/engine.h"
 #include "core/multi_engine.h"
+#include "corpus.h"
 #include "test_sources.h"
 
 namespace gcx {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string CorpusDir() {
-  const char* env = std::getenv("GCX_CONFORMANCE_DIR");
-  if (env != nullptr) return env;
-  for (const char* candidate :
-       {"tests/conformance/cases", "../tests/conformance/cases",
-        "../../tests/conformance/cases", "conformance/cases"}) {
-    if (fs::is_directory(candidate)) return candidate;
-  }
-  return "tests/conformance/cases";
-}
-
-std::string ReadFileIfAny(const fs::path& path, bool* readable) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    *readable = false;
-    return "";
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-struct Case {
-  std::string name;
-  std::string query;
-  std::string document;
-  std::string expected;
-  std::string expected_error;
-  bool is_error = false;
-  bool complete = true;
-};
-
-std::vector<Case> LoadCorpus() {
-  std::vector<Case> cases;
-  fs::path dir = CorpusDir();
-  if (!fs::is_directory(dir)) return cases;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() != ".xq") continue;
-    Case c;
-    c.name = entry.path().stem().string();
-    c.query = ReadFileIfAny(entry.path(), &c.complete);
-    c.document = ReadFileIfAny(
-        fs::path(entry.path()).replace_extension(".xml"), &c.complete);
-    fs::path error_path = fs::path(entry.path()).replace_extension(".error");
-    if (fs::exists(error_path)) {
-      c.is_error = true;
-      c.expected_error = ReadFileIfAny(error_path, &c.complete);
-      while (!c.expected_error.empty() && c.expected_error.back() == '\n') {
-        c.expected_error.pop_back();
-      }
-    } else {
-      c.expected = ReadFileIfAny(
-          fs::path(entry.path()).replace_extension(".expected"), &c.complete);
-    }
-    cases.push_back(std::move(c));
-  }
-  return cases;
-}
-
-/// Options matching the conformance harness: the err_oversized_token_*
-/// fixtures hold ~20 KB tokens and are pinned against a 16 KiB cap.
-EngineOptions OptionsFor(const Case& c) {
-  EngineOptions options;
-  if (c.name.rfind("err_oversized_token", 0) == 0) {
-    options.scanner.max_token_bytes = 16384;
-  }
-  return options;
-}
-
 /// One solo run of `c` through `source`; returns (status-string, output).
 std::pair<std::string, std::string> RunOnce(
     const Case& c, std::unique_ptr<ByteSource> source) {
-  auto compiled = CompiledQuery::Compile(c.query, OptionsFor(c));
+  auto compiled = CompiledQuery::Compile(c.query, CaseOptions(c));
   EXPECT_TRUE(compiled.ok()) << c.name;
   Engine engine;
   std::ostringstream out;
@@ -609,6 +535,64 @@ TEST(ShardParity, BackToBackGovernedShardedRunsStaySharded) {
     EXPECT_EQ(out.str(), ref.str()) << "run " << run;
   }
   EXPECT_EQ(fallbacks->value(), fallbacks_before);
+}
+
+TEST(ShardParity, ReplayBudgetTripFallsBackToTheSerialScan) {
+  // The four shard logs are each kept whole until the splice, while the
+  // serial scan's log trims as its one query consumes it. A replay budget
+  // between the two trips the sharded scan phase, before any output, and
+  // the serial fallback then serves the run. Admission's split/shed could
+  // not: it would shed this tripping singleton.
+  std::string doc = "<a>";
+  for (int i = 0; i < 2000; ++i) {
+    doc += "<b><c>payload-" + std::to_string(i) + "</c></b>";
+  }
+  doc += "</a>";
+  auto compiled = CompiledQuery::Compile(
+      "<r>{ for $x in /a/b return <o>{ count(/a/b) }</o> }</r>", {});
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ShardOptions options;
+  options.shards = 4;
+  options.min_shard_bytes = 1;
+
+  std::ostringstream ref;
+  uint64_t serial_peak = 0;
+  {
+    MultiQueryEngine engine;
+    auto stats = engine.Execute({&*compiled}, doc, {&ref});
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    serial_peak = stats->shared.replay_log_peak;
+  }
+  uint64_t sharded_events = 0;
+  {
+    MultiQueryEngine engine;
+    std::ostringstream out;
+    auto stats = engine.ExecuteSharded({&*compiled}, doc, {&out}, options);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_EQ(stats->shared.shards, 4u);
+    ASSERT_EQ(out.str(), ref.str());
+    sharded_events = stats->shared.events_forwarded;
+  }
+  RunBudget budget;
+  budget.max_replay_log_events = serial_peak + 16;
+  ASSERT_LT(budget.max_replay_log_events, sharded_events);
+
+  MetricsCounter* fallbacks = MetricsRegistry::Global().Counter(
+      "robustness.serial_fallbacks_total");
+  const uint64_t fallbacks_before = fallbacks->value();
+  RunGovernor governor(budget);
+  MultiQueryEngine engine;
+  engine.set_governor(&governor);
+  std::ostringstream out;
+  auto stats = engine.ExecuteSharded({&*compiled}, doc, {&out}, options);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(out.str(), ref.str());
+  EXPECT_EQ(stats->shared.shards, 0u);  // served by the single scan
+#ifndef GCX_METRICS_OFF
+  EXPECT_EQ(fallbacks->value(), fallbacks_before + 1);
+#else
+  (void)fallbacks_before;
+#endif
 }
 
 }  // namespace

@@ -292,8 +292,8 @@ TEST(ShardedExecution, StalledShardSourcesProduceIdenticalOutput) {
 TEST(ShardedExecution, AbsorbsWouldBlockBurstsWithoutReadyFd) {
   // Regression: a non-pollable source reporting long would-block bursts
   // (ReadyFd() == -1) used to send the worker into WaitReadable(-1, -1) —
-  // a busy spin. The bounded yield/sleep backoff must absorb the bursts
-  // and still produce identical bytes.
+  // an unbounded wait. Each stall now yields once and retries, so the
+  // bursts are absorbed and the bytes stay identical.
   std::string doc = ItemDoc(300);
   std::string query = "<c>{ count(/site/items/item) }</c>";
   ShardOptions options = SmallDocOptions(4);

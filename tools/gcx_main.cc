@@ -1,68 +1,5 @@
-// gcx — streaming XQuery processor (command-line front end).
-//
-// Usage:
-//   gcx [options] <query.xq|-q QUERY> [input.xml]
-//   gcx -q a.xq -q b.xq [-q ...] input.xml      (multi-query batch)
-//
-// Reads the query from a file (or inline via -q), evaluates it over the
-// input document (file or stdin) in streaming mode with active garbage
-// collection, and writes the result to stdout. With several -q flags the
-// queries are executed as one batch sharing a single document scan
-// (MultiQueryEngine); each query's result is printed in submission order.
-//
-// Options:
-//   -q QUERY          a query: a file path, or inline query text when no
-//                     such file exists; repeatable (batch execution)
-//   -o FILE           write the result to FILE instead of stdout
-//   --explain         print the static analysis (variable tree, roles,
-//                     projection tree, rewritten query) and exit
-//   --stats           print execution statistics to stderr
-//   --cache-stats     print compiled-query cache counters to stderr
-//                     (repeated -q texts compile once per process)
-//   --admission       route a multi-query run through the admission
-//                     controller (grouping + batch limits) instead of one
-//                     hand-built batch
-//   --admission-batch=N    admission: max queries per batch (default 16)
-//   --admission-memory=N   admission: replay-log budget in events (0 = off)
-//   --admission-adaptive   admission: self-tune the effective batch cap
-//                     (and shard count) from observed stall/memory pressure
-//   --admission-arena-budget=N  admission: replay-arena byte budget for the
-//                     adaptive memory-pressure signal (implies adaptive)
-//   --shards=N        scan a stored document on N parallel shards
-//                     (core/shard.h); the input is materialized, split at
-//                     subtree boundaries and scanned on a worker pool,
-//                     with output byte-identical to the single scan.
-//                     Applies to the direct path and (for in-memory
-//                     documents) to --admission; falls back to one scan
-//                     when the document is too small to split
-//   --follow          open the input path as a non-blocking stream (FIFO,
-//                     character device): the engine consumes bytes as the
-//                     writer produces them instead of requiring a regular
-//                     file
-//   --input-fd=N      read the document from the already-open descriptor N
-//                     (non-blocking; e.g. a pipe inherited from a parent)
-//   --metrics-json=FILE  dump one JSON snapshot of the process-wide metrics
-//                     registry (scanner/projector/buffer/cache/admission/
-//                     shard families) after the run; FILE '-' = stdout
-//   --deadline-ms=N   wall-clock deadline for the whole run; a run (even
-//                     one parked on a stalled stream) terminates with a
-//                     typed deadline error shortly after N ms
-//   --max-arena-bytes=N   cap on live replay/buffer arena bytes; exceeding
-//                     it fails (or, under --admission, degrades) the run
-//   --max-output-bytes=N  cap on total result bytes written
-//
-// Exit codes: 0 success; 1 runtime error; 2 usage error; 3 compile error;
-// 4 deadline exceeded or a resource budget tripped (including queries shed
-// by admission degradation).
-//   --trace           dump the buffer after every input token (Fig. 2 style)
-//   --mode=MODE       streaming (default) | project | dom
-//   --no-gc           disable signOff execution and purging
-//   --no-aggregate    disable aggregate roles (Sec. 6)
-//   --no-redundant    disable redundant-role elimination (Sec. 6)
-//   --no-early        disable early updates (Sec. 6)
-//   --keep-ws         keep whitespace-only text nodes
-//   --drop-attributes discard attributes instead of converting them to
-//                     subelements
+// gcx — streaming XQuery processor (command-line front end). Help() below
+// is the one description of its options and exit codes (`gcx --help`).
 
 #include <cstdint>
 #include <cstdlib>
@@ -136,7 +73,11 @@ void Help(const char* argv0) {
          "  --no-redundant    disable redundant-role elimination\n"
          "  --no-early        disable early updates\n"
          "  --keep-ws         keep whitespace-only text\n"
-         "  --drop-attributes discard attributes\n";
+         "  --drop-attributes discard attributes\n"
+         "\n"
+         "exit codes: 0 success, 1 runtime error, 2 usage error, 3 compile\n"
+         "error, 4 deadline exceeded or resource budget tripped (including\n"
+         "queries shed by admission)\n";
 }
 
 bool ReadFile(const std::string& path, std::string* out) {
@@ -692,14 +633,12 @@ int main(int argc, char** argv) {
         gcx::EvalError("unreachable");
     std::string document;
     if (shards > 1) {
-      // Sharding needs the stored bytes: materialize, then fan the scan
-      // out (ExecuteSharded falls back to one scan if the planner declines).
-      gcx::Status drained = gcx::ReadAll(source.get(), &document);
-      if (!drained.ok()) {
-        std::cerr << "error: " << drained.ToString() << "\n";
-        print_cache_stats();
-        return 1;
-      }
+      // Sharding needs the stored bytes: materialize under the run's
+      // budget, then fan the scan out (ExecuteSharded falls back to one
+      // scan if the planner declines).
+      gcx::Status drained =
+          gcx::ReadAll(source.get(), &document, governor.get());
+      if (!drained.ok()) return fail_exit(drained);
       gcx::ShardOptions shard_options;
       shard_options.shards = shards;
       batch_stats =
@@ -764,14 +703,7 @@ int main(int argc, char** argv) {
   }
   gcx::Result<gcx::ExecStats> stats = gcx::EvalError("unreachable");
   if (project_only) {
-    // Materialize the whole input (projection needs a string view here).
-    std::string document;
-    gcx::Status drained = gcx::ReadAll(source.get(), &document);
-    if (!drained.ok()) {
-      std::cerr << "error: " << drained.ToString() << "\n";
-      return 1;
-    }
-    stats = engine.Project(compiled_queries.front(), document, out);
+    stats = engine.Project(compiled_queries.front(), std::move(source), out);
   } else {
     stats = engine.Execute(compiled_queries.front(), std::move(source), out);
   }
